@@ -83,7 +83,7 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		ex.Use("v", query.SyncedEBIStr{Ix: sx})
+		ex.Use("v", query.EBI[string]{Ix: sx})
 	} else {
 		ix, err = core.Build(column, nil, nil)
 		if err != nil {
@@ -95,7 +95,7 @@ func runServe(args []string) error {
 		paged := pagestore.NewPagedIndex(ix, 32, 64)
 		paged.RegisterHeatmap("v")
 		defer paged.UnregisterHeatmap("v")
-		ex.Use("v", query.PagedEBIStr{Ix: paged})
+		ex.Use("v", query.PagedEBI[string]{Ix: paged})
 	}
 
 	ln, err := obs.Serve(*addr)

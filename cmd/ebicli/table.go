@@ -55,7 +55,7 @@ func runTable(args []string) error {
 			if err != nil {
 				return fmt.Errorf("indexing %s: %w", col.Name, err)
 			}
-			ex.Use(col.Name, query.EBIStr{Ix: ix})
+			ex.Use(col.Name, query.EBI[string]{Ix: ix})
 			totalVectors += ix.K()
 			fmt.Printf("  %-16s string  %5d distinct -> %d vectors\n", col.Name, ix.Cardinality(), ix.K())
 		}

@@ -522,9 +522,9 @@ func (a *Auditor) recordMismatch(rec *query.AuditRecord, refName string, refRows
 		Query:     rec.Query, Source: rec.Source, Reference: refName,
 		Plan: plan, TraceID: rec.TraceID, Rows: rec.N, FirstDiff: diffAt,
 		ExpectedCount: refRows.Count(), ActualCount: rec.Rows.Count(),
-		ExpectedRows:  rowSample(refRows, diffAt, 16),
-		ActualRows:    rowSample(rec.Rows, diffAt, 16),
-		Stats:         rec.Stats,
+		ExpectedRows: rowSample(refRows, diffAt, 16),
+		ActualRows:   rowSample(rec.Rows, diffAt, 16),
+		Stats:        rec.Stats,
 	}
 	a.mu.Lock()
 	a.lastMismatch = d

@@ -79,10 +79,10 @@ func auditFixture(t *testing.T) (*table.Table, *query.Executor, *query.Planner) 
 		t.Fatal(err)
 	}
 	ex := query.NewExecutor(tab)
-	ex.Use("region", query.EBIStr{Ix: region})
+	ex.Use("region", query.EBI[string]{Ix: region})
 	ex.Use("qty", query.EBIInt{Ix: qty})
 	pl := query.NewPlanner(ex)
-	if err := pl.AddPath("region", query.AccessPath{Name: "ebi", Index: query.EBIStr{Ix: region}, Model: query.EBIModel(region.K())}); err != nil {
+	if err := pl.AddPath("region", query.AccessPath{Name: "ebi", Index: query.EBI[string]{Ix: region}, Model: query.EBIModel(region.K())}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.AddPath("qty", query.AccessPath{Name: "ebi", Index: query.EBIInt{Ix: qty}, Model: query.EBIModel(qty.K())}); err != nil {
@@ -188,7 +188,7 @@ func TestAuditCleanAcrossReencode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := query.NewExecutor(tab)
-	ex.Use("region", query.SyncedEBIStr{Ix: s})
+	ex.Use("region", query.EBI[string]{Ix: s})
 
 	a := New(Config{Rate: 1, References: []Reference{ScanReference(tab)}, Name: "reencode-run"})
 	base := snapCounters()
@@ -392,7 +392,7 @@ func TestAuditBasisMovedSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := query.NewExecutor(tab)
-	ex.Use("region", query.SyncedEBIStr{Ix: s})
+	ex.Use("region", query.EBI[string]{Ix: s})
 
 	// Capture one record without a running worker, then move the basis
 	// before verifying it by hand.
@@ -431,7 +431,7 @@ func TestAuditBasisMovedSkip(t *testing.T) {
 
 type captureSink struct{ recs []*query.AuditRecord }
 
-func (c *captureSink) SampleQuery() bool               { return true }
+func (c *captureSink) SampleQuery() bool                 { return true }
 func (c *captureSink) ObserveQuery(r *query.AuditRecord) { c.recs = append(c.recs, r) }
 
 // A full queue must drop (and count) rather than block the query path.

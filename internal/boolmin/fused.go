@@ -185,16 +185,16 @@ func (p *Program) EvalInto(dst *bitvec.Vector, srcs []bitvec.WordSource) EvalRes
 
 // EvalParallelInto is EvalInto with segmented fork/join execution over
 // dense operands (sequential word sources cannot back concurrent
-// segments). Rows and accounting are identical to EvalInto and therefore
-// to the sequential baseline.
-func (p *Program) EvalParallelInto(dst *bitvec.Vector, vecs []*bitvec.Vector, pool *parallel.Pool, degree int) EvalResult {
-	return p.EvalParallelSpanInto(dst, vecs, pool, degree, nil)
-}
-
-// EvalParallelSpanInto is EvalParallelInto with per-worker trace spans
-// nested under sp (see parallel.Pool.ForkJoinSpan). A nil sp is the
-// exact EvalParallelInto path.
-func (p *Program) EvalParallelSpanInto(dst *bitvec.Vector, vecs []*bitvec.Vector, pool *parallel.Pool, degree int, sp *obs.Span) EvalResult {
+// segments): the row space splits into fixed 64Ki-bit segments
+// (bitvec.SegmentBits) and each runs the fused kernel over its own word
+// range of dst, so workers never contend. degree caps the executors
+// engaged; the pool (parallel.Default() when nil) bounds it further to
+// min(GOMAXPROCS, segments). Per-worker trace spans nest under sp, which
+// may be nil (see parallel.Pool.ForkJoinSpan). Rows and accounting are
+// identical to EvalInto and therefore to the sequential baseline: the
+// counts come analytically from the program, since per-segment op counts
+// are a property of the partitioning, not of the paper's cost model.
+func (p *Program) EvalParallelInto(dst *bitvec.Vector, vecs []*bitvec.Vector, pool *parallel.Pool, degree int, sp *obs.Span) EvalResult {
 	if len(vecs) < p.k {
 		panic(fmt.Sprintf("boolmin: expression over %d vars, only %d vectors", p.k, len(vecs)))
 	}
@@ -241,24 +241,6 @@ func (p *Program) EvalParallelSpanInto(dst *bitvec.Vector, vecs []*bitvec.Vector
 	})
 	dst.TrimTail()
 	return res
-}
-
-// EvalFused compiles and evaluates in one call — the drop-in fused
-// equivalent of EvalVectors, used by cross-checks and one-shot callers
-// (hot paths cache the Program and use EvalInto).
-func EvalFused(e Expr, vecs []*bitvec.Vector) EvalResult {
-	if len(vecs) < e.K {
-		panic(fmt.Sprintf("boolmin: expression over %d vars, only %d vectors", e.K, len(vecs)))
-	}
-	n := 0
-	if e.K > 0 {
-		n = vecs[0].Len()
-	}
-	srcs := make([]bitvec.WordSource, len(vecs))
-	for i, v := range vecs {
-		srcs[i] = v
-	}
-	return Compile(e).EvalInto(bitvec.New(n), srcs)
 }
 
 // evalBlock computes one destination block: acc = OR over cubes of the

@@ -28,19 +28,20 @@ func checkFusedAgrees(t *testing.T, e Expr, vecs []*bitvec.Vector) {
 				want.VectorsRead, want.WordsRead, want.Ops)
 		}
 	}
-	check("fused dense", EvalFused(e, vecs))
-
 	p := Compile(e)
 	n := 0
 	if e.K > 0 {
 		n = vecs[0].Len()
 	}
+	dense := make([]bitvec.WordSource, len(vecs))
 	streams := make([]bitvec.WordSource, len(vecs))
 	for i, v := range vecs {
+		dense[i] = v
 		streams[i] = compress.Compress(v).Stream()
 	}
+	check("fused dense", p.EvalInto(bitvec.New(n), dense))
 	check("fused wah", p.EvalInto(bitvec.New(n), streams))
-	check("fused parallel", p.EvalParallelInto(bitvec.New(n), vecs, parallel.Default(), 4))
+	check("fused parallel", p.EvalParallelInto(bitvec.New(n), vecs, parallel.Default(), 4, nil))
 }
 
 func TestFusedPaperFigure1(t *testing.T) {
@@ -75,7 +76,8 @@ func TestFusedPanicsOnShortVecs(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	EvalFused(Expr{K: 3, Cubes: []Cube{{}}}, buildVectors(2, []uint32{0}))
+	vecs := buildVectors(2, []uint32{0})
+	Compile(Expr{K: 3, Cubes: []Cube{{}}}).EvalInto(bitvec.New(1), []bitvec.WordSource{vecs[0], vecs[1]})
 }
 
 func TestFusedPanicsOnLengthMismatch(t *testing.T) {
@@ -183,7 +185,7 @@ func BenchmarkFusedEvalParallelK10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.EvalParallelInto(dst, vecs, pool, 4)
+		p.EvalParallelInto(dst, vecs, pool, 4, nil)
 	}
 }
 

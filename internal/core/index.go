@@ -22,7 +22,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/boolmin"
 	"repro/internal/encoding"
-	"repro/internal/iostat"
 	"repro/internal/obs"
 	"repro/internal/reorder"
 )
@@ -70,31 +69,22 @@ type Index[V comparable] struct {
 
 	deleted int // number of voided rows (diagnostics)
 
-	// exprCache memoizes reduced single-value retrieval functions together
-	// with their compiled fused programs; it is invalidated whenever the
-	// code space or don't-care set changes (domain expansion, widening,
-	// NULL-code allocation). generation counts those invalidations so
-	// Prepared selections can detect staleness.
-	exprCache  map[uint32]cachedSel
+	// generation counts code-space and don't-care changes (domain
+	// expansion, widening, NULL-code allocation, re-encoding); progs, the
+	// per-code program cache, and Prepared selections are keyed by it.
 	generation uint64
+	progs      *progCache
 
 	// srcs mirrors vectors as fused-kernel operands. It is rebuilt eagerly
 	// at every point the vectors slice itself changes (construction,
-	// widening, deserialization, re-encoding) so read paths — which run
-	// under Synced's shared lock — never mutate it.
+	// widening, deserialization, re-encoding) so read paths on a published
+	// Synced snapshot never mutate it.
 	srcs []bitvec.WordSource
 
 	// observer, when non-nil, receives every value-selection evaluation
 	// (see SelectionObserver). Read paths only load it, so observation is
-	// safe under Synced's shared lock.
+	// safe on a published Synced snapshot.
 	observer SelectionObserver[V]
-}
-
-// cachedSel is one memoized single-value selection: the reduced expression
-// and its fused evaluation program.
-type cachedSel struct {
-	expr boolmin.Expr
-	prog *boolmin.Program
 }
 
 // rebuildSources refreshes the fused-operand view of the vectors slice.
@@ -488,189 +478,12 @@ func (ix *Index[V]) dontCares() []uint32 {
 // can match no tuple). The zero-length on-set yields the constant-false
 // expression.
 func (ix *Index[V]) ExprFor(values []V) boolmin.Expr {
-	var codes []uint32
-	for _, v := range values {
-		if c, ok := ix.mapping.CodeOf(v); ok {
-			codes = append(codes, c)
-		}
-	}
-	return boolmin.Minimize(ix.K(), codes, ix.dontCares())
+	return boolmin.Minimize(ix.K(), ix.codesOf(values), ix.dontCares())
 }
 
-// evalExpr evaluates a reduced expression against the index's vectors
-// through the fused single-pass kernel, compiling the expression on the
-// fly. Hot paths (Eq, Prepared) cache the compiled program instead.
-func (ix *Index[V]) evalExpr(e boolmin.Expr) (*bitvec.Vector, iostat.Stats) {
-	return ix.evalProgram(boolmin.Compile(e))
-}
-
-// evalProgram runs a compiled fused program into a fresh row set.
-func (ix *Index[V]) evalProgram(p *boolmin.Program) (*bitvec.Vector, iostat.Stats) {
-	dst := bitvec.New(ix.n)
-	return dst, ix.evalProgramInto(p, dst)
-}
-
-// evalProgramInto runs a compiled fused program into a caller-provided row
-// set of length Len(), allocating nothing. The destination always has the
-// index's length, so the k=0 degenerate shapes (constant expressions over
-// an empty code space) come out sized correctly with no special casing.
-func (ix *Index[V]) evalProgramInto(p *boolmin.Program, dst *bitvec.Vector) iostat.Stats {
-	mEvals.Inc()
-	if ix.reserveVoid {
-		mVoidSkips.Inc()
-	}
-	res := p.EvalInto(dst, ix.sources())
-	return iostat.Stats{
-		VectorsRead: res.VectorsRead,
-		WordsRead:   res.WordsRead,
-		BoolOps:     res.Ops,
-	}
-}
-
-// sources returns the vectors as fused-kernel operands. The slice is
-// maintained eagerly by rebuildSources; the lazy refresh below only fires
-// for hand-assembled indexes outside the exported constructors and must
-// never be reached under Synced's shared lock (all vector-slice mutations
-// hold the write lock and rebuild eagerly).
-func (ix *Index[V]) sources() []bitvec.WordSource {
-	if len(ix.srcs) != len(ix.vectors) {
-		ix.rebuildSources()
-	}
-	return ix.srcs
-}
-
-// Eq returns the rows where the attribute equals v. The cost is the full
-// min-term: k vectors (c_e's single-value case), possibly fewer when
-// don't-care codes let the min-term shed literals. The reduced expression
-// is memoized per code.
-func (ix *Index[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) {
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		return bitvec.New(ix.n), iostat.Stats{}
-	}
-	rows, st := ix.evalProgram(ix.cachedProgram(code))
-	ix.observeSelection([]V{v}, st)
-	return rows, st
-}
-
-// EqInto is Eq with a caller-provided destination: dst (length Len(),
-// fully overwritten) receives the rows where the attribute equals v. On a
-// warmed index — the value's reduced expression already memoized — it
-// performs zero allocations, which is the steady-state point-query path.
-func (ix *Index[V]) EqInto(v V, dst *bitvec.Vector) iostat.Stats {
-	if dst.Len() != ix.n {
-		panic(fmt.Sprintf("core: EqInto destination has %d bits, index %d", dst.Len(), ix.n))
-	}
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		dst.Reset()
-		return iostat.Stats{}
-	}
-	st := ix.evalProgramInto(ix.cachedProgram(code), dst)
-	ix.observeSelection([]V{v}, st)
-	return st
-}
-
-// cachedProgram returns the memoized reduced expression + fused program
-// for a single code, minimizing and compiling on miss. Not for use under
-// Synced's shared lock (it populates the cache); Synced reads go through
-// In, which compiles afresh.
-func (ix *Index[V]) cachedProgram(code uint32) *boolmin.Program {
-	if sel, ok := ix.exprCache[code]; ok {
-		mExprCacheHits.Inc()
-		mProgCacheHits.Inc()
-		return sel.prog
-	}
-	mExprCacheMisses.Inc()
-	e := boolmin.Minimize(ix.K(), []uint32{code}, ix.dontCares())
-	if ix.exprCache == nil {
-		ix.exprCache = make(map[uint32]cachedSel)
-	}
-	sel := cachedSel{expr: e, prog: boolmin.Compile(e)}
-	ix.exprCache[code] = sel
-	return sel.prog
-}
-
-// invalidateCache drops memoized expressions; called when the code space
-// or the don't-care set changes.
-func (ix *Index[V]) invalidateCache() {
-	ix.exprCache = nil
-	ix.generation++
-}
-
-// In returns the rows where the attribute is in the value list, evaluating
-// the reduced retrieval expression — the paper's range-search path where
-// c_e <= ceil(log2 m) regardless of the list width δ.
-func (ix *Index[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
-	rows, st := ix.evalExpr(ix.ExprFor(values))
-	ix.observeSelection(values, st)
-	return rows, st
-}
-
-// NotIn returns existing, non-NULL rows outside the value list. Because
-// void is 0 and never part of a value code set, the complement must
-// explicitly exclude void and NULL codes.
-func (ix *Index[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) {
-	excluded := make(map[uint32]bool, len(values)+2)
-	for _, v := range values {
-		if c, ok := ix.mapping.CodeOf(v); ok {
-			excluded[c] = true
-		}
-	}
-	var codes []uint32
-	var included []V
-	for _, v := range ix.mapping.Values() {
-		c, _ := ix.mapping.CodeOf(v)
-		if !excluded[c] {
-			codes = append(codes, c)
-			included = append(included, v)
-		}
-	}
-	rows, st := ix.evalExpr(boolmin.Minimize(ix.K(), codes, ix.dontCares()))
-	// The complement is what the reduced expression actually selects, so
-	// that is what the observer (and any re-encoding workload built from
-	// it) records.
-	ix.observeSelection(included, st)
-	return rows, st
-}
-
-// IsNull returns the NULL rows.
-func (ix *Index[V]) IsNull() (*bitvec.Vector, iostat.Stats) {
-	if !ix.hasNullCode {
-		return bitvec.New(ix.n), iostat.Stats{}
-	}
-	return ix.evalExpr(boolmin.Minimize(ix.K(), []uint32{ix.nullCode}, ix.dontCares()))
-}
-
-// Existing returns all non-void, non-NULL rows. With the void-zero
-// reservation it needs no Boolean minimization at all: a row exists iff
-// its code is nonzero (the OR of all vectors) and is not the NULL code.
-func (ix *Index[V]) Existing() (*bitvec.Vector, iostat.Stats) {
-	var st iostat.Stats
-	acc := bitvec.New(ix.n)
-	if ix.reserveVoid {
-		for _, vec := range ix.vectors {
-			st.VectorsRead++
-			st.WordsRead += vec.Words()
-			st.BoolOps++
-			acc.Or(vec)
-		}
-	} else {
-		// No deletions are possible without the reservation; every row
-		// exists unless NULL.
-		acc.Fill()
-	}
-	if ix.hasNullCode {
-		res := boolmin.EvalVectors(boolmin.RetrievalFunction(ix.K(), ix.nullCode), ix.vectors)
-		nulls := res.Rows
-		if nulls.Len() != ix.n {
-			nulls = bitvec.New(ix.n)
-		}
-		st.BoolOps += res.Ops + 1
-		acc.AndNot(nulls)
-	}
-	return acc, st
-}
+// invalidateCache retires every memoized program and prepared
+// compilation; called when the code space or the don't-care set changes.
+func (ix *Index[V]) invalidateCache() { ix.generation++ }
 
 // DecodeRow returns the value at a row. ok is false for void or NULL rows
 // (isNull distinguishes the two).

@@ -138,7 +138,7 @@ func TestSelectionObserverHooks(t *testing.T) {
 	}
 
 	// Parallel evaluation observes identically to sequential.
-	_, stPar := ix.InParallel([]int{2, 3}, 4)
+	_, stPar := ix.InParallel([]int{2, 3}, 4, nil)
 	got = obs.last(t)
 	if !reflect.DeepEqual(got.values, []int{2, 3}) || got.st != stPar {
 		t.Fatalf("InParallel observation = %+v", got)

@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitvec"
-	"repro/internal/boolmin"
 	"repro/internal/encoding"
-	"repro/internal/iostat"
 	"repro/internal/obs"
 )
 
@@ -31,12 +29,9 @@ import (
 // shadow rebuild with catch-up replay, so heavy read traffic runs
 // straight through a re-encoding with zero stalls.
 //
-// Stats parity: every read reports iostat.Stats exactly equal to what a
-// plain Index holding the same rows would report. The fused program's
-// accounting is analytic — VectorsRead and BoolOps depend only on the
-// expression, WordsRead is VectorsRead dense words — so extending a
-// base-snapshot evaluation over the tail only needs
-// WordsRead += VectorsRead * (words(n) - words(n0)).
+// Reads share the Index evaluator (read.go): each loads the state once
+// and extends its result across the tail, reporting iostat.Stats exactly
+// equal to what a plain Index holding the same rows would report.
 type Synced[V comparable] struct {
 	state atomic.Pointer[epochState[V]]
 
@@ -57,10 +52,8 @@ type Synced[V comparable] struct {
 
 	foldThreshold int
 
-	// progs caches compiled single-code fused programs for the current
-	// encoding generation (the Eq hot path). Replaced wholesale when
-	// the code space changes; see cachedProgram.
-	progs atomic.Pointer[syncedProgCache]
+	// progs caches compiled single-code fused programs, keyed by encGen.
+	progs progCache
 
 	// testHook, when non-nil, is called at fixed points inside Reencode
 	// (0: shadow built; 1: after a catch-up round; 2: before taking the
@@ -69,11 +62,13 @@ type Synced[V comparable] struct {
 	testHook func(stage int)
 }
 
-// epochState is one immutable published state of a Synced index.
+// epochState is one immutable read state: a published state of a Synced
+// index, or a plain Index's view of itself (no tail). Every read
+// evaluates against one (read.go).
 type epochState[V comparable] struct {
 	// ix is the base snapshot. Its vectors, mapping, and flags are
-	// never mutated after publication; readers may evaluate (cache-free
-	// paths only) and observe freely.
+	// never mutated after publication; readers evaluate through the
+	// Synced's cache, never the snapshot's own.
 	ix *Index[V]
 	// tail holds codes appended since ix was built, one uint64-padded
 	// k-bit code per row, in append order. Only [0, tailLen) is valid
@@ -131,32 +126,13 @@ func (s *Synced[V]) SetFoldThreshold(n int) {
 // bitvec's layout: the analytic WordsRead unit.
 func wordsFor(n int) int { return (n + 63) / 64 }
 
-// extendTail grows a base-snapshot result vector across the state's tail,
-// setting the rows whose appended code matches, and extends the analytic
-// stats to the full logical length: each vector the expression read is a
-// dense operand, so the tail contributes exactly the dense word delta per
-// vector read. BoolOps and VectorsRead are length-independent.
-func extendTail[V comparable](st *epochState[V], rows *bitvec.Vector, stats *iostat.Stats, match func(code uint32) bool) {
-	n0 := st.ix.n
-	n := n0 + st.tailLen
-	if rows.Len() < n {
-		rows.Grow(n)
-	}
-	for i := 0; i < st.tailLen; i++ {
-		if match(uint32(st.tail[i])) {
-			rows.Set(n0 + i)
-		}
-	}
-	stats.WordsRead += stats.VectorsRead * (wordsFor(n) - wordsFor(n0))
-}
-
 // publishableClone shallow-copies an index into a form safe to publish as
 // an immutable snapshot: no memoized expression cache (Eq would mutate
 // it) and a private fused-operand slice (rebuildSources reuses backing
 // arrays otherwise).
 func publishableClone[V comparable](ix *Index[V]) *Index[V] {
 	c := *ix
-	c.exprCache = nil
+	c.progs = nil
 	c.srcs = nil
 	c.rebuildSources()
 	return &c
@@ -212,197 +188,6 @@ func nullEnabledClone[V comparable](ix *Index[V]) *Index[V] {
 	c.nullCode = free[0]
 	c.hasNullCode = true
 	return c
-}
-
-// syncedProgCache memoizes compiled single-code fused programs for one
-// encoding generation. Programs are pure functions of (k, code,
-// don't-cares), all pinned by encGen, so entries need no further
-// validation.
-type syncedProgCache struct {
-	encGen uint64
-	m      sync.Map // uint32 code -> *boolmin.Program
-}
-
-// cachedProgram returns the compiled program selecting code under the
-// state's encoding, from the shared cache when the state is current.
-// The cache is keyed by encoding generation and replaced wholesale when
-// a newer generation arrives — the live-re-encoding invalidation the
-// per-Index cache handles with invalidateCache. A reader holding an
-// older-generation snapshot compiles uncached rather than poisoning the
-// cache for current readers.
-func (s *Synced[V]) cachedProgram(st *epochState[V], code uint32) *boolmin.Program {
-	pc := s.progs.Load()
-	if pc == nil || pc.encGen != st.encGen {
-		fresh := &syncedProgCache{encGen: st.encGen}
-		switch {
-		case pc == nil:
-			if !s.progs.CompareAndSwap(nil, fresh) {
-				fresh = nil
-			}
-		case st.encGen > pc.encGen:
-			if !s.progs.CompareAndSwap(pc, fresh) {
-				fresh = nil
-			}
-		default:
-			fresh = nil
-		}
-		pc = fresh
-		if pc == nil {
-			if latest := s.progs.Load(); latest != nil && latest.encGen == st.encGen {
-				pc = latest
-			}
-		}
-		if pc == nil {
-			mExprCacheMisses.Inc()
-			return boolmin.Compile(boolmin.Minimize(st.ix.K(), []uint32{code}, st.ix.dontCares()))
-		}
-	}
-	if v, ok := pc.m.Load(code); ok {
-		mExprCacheHits.Inc()
-		mProgCacheHits.Inc()
-		return v.(*boolmin.Program)
-	}
-	mExprCacheMisses.Inc()
-	p := boolmin.Compile(boolmin.Minimize(st.ix.K(), []uint32{code}, st.ix.dontCares()))
-	pc.m.Store(code, p)
-	return p
-}
-
-// Eq returns rows equal to v, through the per-code compiled-program
-// cache (epoch-keyed, so a live re-encoding can never serve a program
-// minimized under the old code assignment).
-func (s *Synced[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) {
-	st := s.state.Load()
-	code, ok := st.ix.mapping.CodeOf(v)
-	if !ok {
-		return bitvec.New(st.ix.n + st.tailLen), iostat.Stats{}
-	}
-	rows, stats := st.ix.evalProgram(s.cachedProgram(st, code))
-	extendTail(st, rows, &stats, func(c uint32) bool { return c == code })
-	st.ix.observeSelection([]V{v}, stats)
-	return rows, stats
-}
-
-// EqInto is Eq with a caller-provided destination, fully overwritten.
-// When the index is quiescent (no outstanding tail) and dst matches the
-// snapshot length it is the zero-allocation steady-state path; otherwise
-// the result is computed against the loaded snapshot and dst's contents
-// are replaced, so concurrent appends degrade the allocation guarantee
-// but never correctness.
-func (s *Synced[V]) EqInto(v V, dst *bitvec.Vector) iostat.Stats {
-	st := s.state.Load()
-	n := st.ix.n + st.tailLen
-	code, ok := st.ix.mapping.CodeOf(v)
-	if !ok {
-		if dst.Len() == n {
-			dst.Reset()
-		} else {
-			*dst = *bitvec.New(n)
-		}
-		return iostat.Stats{}
-	}
-	if st.tailLen == 0 && dst.Len() == st.ix.n {
-		stats := st.ix.evalProgramInto(s.cachedProgram(st, code), dst)
-		st.ix.observeSelection([]V{v}, stats)
-		return stats
-	}
-	rows, stats := st.ix.evalProgram(s.cachedProgram(st, code))
-	extendTail(st, rows, &stats, func(c uint32) bool { return c == code })
-	st.ix.observeSelection([]V{v}, stats)
-	*dst = *rows
-	return stats
-}
-
-// In returns rows matching the value list.
-func (s *Synced[V]) In(values []V) (*bitvec.Vector, iostat.Stats) {
-	st := s.state.Load()
-	ix := st.ix
-	rows, stats := ix.evalExpr(ix.ExprFor(values))
-	codes := make(map[uint32]bool, len(values))
-	for _, v := range values {
-		if c, ok := ix.mapping.CodeOf(v); ok {
-			codes[c] = true
-		}
-	}
-	extendTail(st, rows, &stats, func(c uint32) bool { return codes[c] })
-	ix.observeSelection(values, stats)
-	return rows, stats
-}
-
-// NotIn returns existing rows outside the value list.
-func (s *Synced[V]) NotIn(values []V) (*bitvec.Vector, iostat.Stats) {
-	st := s.state.Load()
-	ix := st.ix
-	excluded := make(map[uint32]bool, len(values)+2)
-	for _, v := range values {
-		if c, ok := ix.mapping.CodeOf(v); ok {
-			excluded[c] = true
-		}
-	}
-	var codes []uint32
-	var included []V
-	includedCodes := make(map[uint32]bool, ix.mapping.Len())
-	for _, v := range ix.mapping.Values() {
-		c, _ := ix.mapping.CodeOf(v)
-		if !excluded[c] {
-			codes = append(codes, c)
-			included = append(included, v)
-			includedCodes[c] = true
-		}
-	}
-	rows, stats := ix.evalExpr(boolmin.Minimize(ix.K(), codes, ix.dontCares()))
-	extendTail(st, rows, &stats, func(c uint32) bool { return includedCodes[c] })
-	ix.observeSelection(included, stats)
-	return rows, stats
-}
-
-// IsNull returns NULL rows.
-func (s *Synced[V]) IsNull() (*bitvec.Vector, iostat.Stats) {
-	st := s.state.Load()
-	ix := st.ix
-	if !ix.hasNullCode {
-		return bitvec.New(ix.n + st.tailLen), iostat.Stats{}
-	}
-	rows, stats := ix.evalExpr(boolmin.Minimize(ix.K(), []uint32{ix.nullCode}, ix.dontCares()))
-	extendTail(st, rows, &stats, func(c uint32) bool { return c == ix.nullCode })
-	return rows, stats
-}
-
-// Existing returns non-void, non-NULL rows.
-func (s *Synced[V]) Existing() (*bitvec.Vector, iostat.Stats) {
-	st := s.state.Load()
-	ix := st.ix
-	var stats iostat.Stats
-	acc := bitvec.New(ix.n)
-	if ix.reserveVoid {
-		for _, vec := range ix.vectors {
-			stats.VectorsRead++
-			stats.WordsRead += vec.Words()
-			stats.BoolOps++
-			acc.Or(vec)
-		}
-	} else {
-		acc.Fill()
-	}
-	if ix.hasNullCode {
-		res := boolmin.EvalVectors(boolmin.RetrievalFunction(ix.K(), ix.nullCode), ix.vectors)
-		nulls := res.Rows
-		if nulls.Len() != ix.n {
-			nulls = bitvec.New(ix.n)
-		}
-		stats.BoolOps += res.Ops + 1
-		acc.AndNot(nulls)
-	}
-	extendTail(st, acc, &stats, func(c uint32) bool {
-		if ix.hasNullCode && c == ix.nullCode {
-			return false
-		}
-		if ix.reserveVoid && c == 0 {
-			return false
-		}
-		return true
-	})
-	return acc, stats
 }
 
 // Len returns the row count (base snapshot plus outstanding tail).
@@ -755,85 +540,4 @@ func (s *Synced[V]) hook(stage int) {
 	if s.testHook != nil {
 		s.testHook(stage)
 	}
-}
-
-// SyncedPrepared is a compiled IN-selection bound to a Synced index. It
-// transparently recompiles when the code space generation changes —
-// including across live re-encoding flips, where the same values name
-// different codes.
-type SyncedPrepared[V comparable] struct {
-	s      *Synced[V]
-	values []V
-
-	mu       sync.Mutex
-	compiled bool
-	encGen   uint64
-	expr     boolmin.Expr
-	prog     *boolmin.Program
-	codes    map[uint32]bool
-}
-
-// Prepare compiles the selection "A IN values" against the live state.
-func (s *Synced[V]) Prepare(values []V) *SyncedPrepared[V] {
-	return &SyncedPrepared[V]{s: s, values: append([]V(nil), values...)}
-}
-
-// snapshot loads the live state and returns the compiled program and
-// tail code set matching its encoding generation, recompiling if stale.
-// The returns are immutable locals: a concurrent recompile for a newer
-// generation never corrupts an evaluation in flight.
-func (p *SyncedPrepared[V]) snapshot() (*epochState[V], *boolmin.Program, map[uint32]bool) {
-	st := p.s.state.Load()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.compiled || p.encGen != st.encGen {
-		if p.compiled {
-			mPreparedRecompiles.Inc()
-			if lg := obs.DefaultLogger(); lg.Enabled(obs.LevelDebug) {
-				lg.Debug("prepared selection recompiled",
-					obs.Int("values", int64(len(p.values))),
-					obs.Int("stale_generation", int64(p.encGen)),
-					obs.Int("generation", int64(st.encGen)))
-			}
-		}
-		p.expr = st.ix.ExprFor(p.values)
-		p.prog = boolmin.Compile(p.expr)
-		p.codes = make(map[uint32]bool, len(p.values))
-		for _, v := range p.values {
-			if c, ok := st.ix.mapping.CodeOf(v); ok {
-				p.codes[c] = true
-			}
-		}
-		p.encGen = st.encGen
-		p.compiled = true
-	} else {
-		mProgCacheHits.Inc()
-	}
-	return st, p.prog, p.codes
-}
-
-// Eval evaluates the prepared selection against the live state.
-func (p *SyncedPrepared[V]) Eval() (*bitvec.Vector, iostat.Stats) {
-	st, prog, codes := p.snapshot()
-	rows, stats := st.ix.evalProgram(prog)
-	extendTail(st, rows, &stats, func(c uint32) bool { return codes[c] })
-	st.ix.observeSelection(p.values, stats)
-	return rows, stats
-}
-
-// AccessCost returns the number of bitmap vectors an evaluation reads —
-// the paper's c_e for this selection under the live encoding.
-func (p *SyncedPrepared[V]) AccessCost() int {
-	p.snapshot()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.expr.AccessCost()
-}
-
-// String renders the compiled expression in the paper's notation.
-func (p *SyncedPrepared[V]) String() string {
-	p.snapshot()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.expr.String()
 }

@@ -48,9 +48,11 @@ func shiftWorkload(s *core.Synced[int], rounds int) {
 
 func TestWatcherSmoke(t *testing.T) {
 	s, w := buildWatched(t, "watch-smoke", Config{Interval: 2 * time.Millisecond})
+	// Record the whole workload before the loop starts: a plan published
+	// mid-recording would observe only part of it.
+	shiftWorkload(s, 20)
 	w.Start()
 	defer w.Stop()
-	shiftWorkload(s, 20)
 
 	deadline := time.Now().Add(5 * time.Second)
 	var rep Report

@@ -97,9 +97,9 @@ func (cfg Config) withDefaults() Config {
 // Manifest describes one captured bundle. It is written last, so a
 // directory containing a parseable manifest.json is a complete bundle.
 type Manifest struct {
-	ID        string             `json:"id"`
-	UnixMilli int64              `json:"unix_ms"`
-	Reason    string             `json:"reason"`
+	ID        string `json:"id"`
+	UnixMilli int64  `json:"unix_ms"`
+	Reason    string `json:"reason"`
 	// Trigger records the sample values that fired (or, for manual
 	// captures, the values at capture time).
 	Trigger map[string]float64 `json:"trigger,omitempty"`

@@ -76,7 +76,7 @@ func (p *PagedIndex[V]) chargeVarsSegmented(vars uint32) (hits, misses int) {
 func (p *PagedIndex[V]) InParallel(values []V, degree int) (*bitvec.Vector, iostat.Stats, Stats) {
 	expr := p.ix.ExprFor(values)
 	hits, misses := p.chargeVarsSegmented(expr.Vars())
-	rows, st := p.ix.InParallel(values, degree)
+	rows, st := p.ix.InParallel(values, degree, nil)
 	if got := bits.OnesCount32(expr.Vars()); st.VectorsRead != got {
 		// Defensive: the charge must match the evaluation.
 		st.VectorsRead = got

@@ -4,113 +4,11 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/bsi"
 	"repro/internal/btree"
-	"repro/internal/core"
 	"repro/internal/iostat"
 	"repro/internal/projidx"
 	"repro/internal/simplebitmap"
 	"repro/internal/table"
 )
-
-// EBIInt adapts an encoded bitmap index over int64 values.
-type EBIInt struct{ Ix *core.Index[int64] }
-
-// Eq implements ColumnIndex.
-func (a EBIInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Eq(v.I)
-	return rows, st, nil
-}
-
-// In implements ColumnIndex.
-func (a EBIInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.In(vals)
-	return rows, st, nil
-}
-
-// Range rewrites the interval into an IN-list over the mapped domain —
-// the paper's "discrete domains" rewriting — and evaluates the reduced
-// expression.
-func (a EBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []int64
-	for _, v := range a.Ix.Values() {
-		if v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
-	}
-	rows, st := a.Ix.In(vals)
-	return rows, st, nil
-}
-
-// EBIStr adapts an encoded bitmap index over string values.
-type EBIStr struct{ Ix *core.Index[string] }
-
-// Eq implements ColumnIndex.
-func (a EBIStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Eq(v.S)
-	return rows, st, nil
-}
-
-// In implements ColumnIndex.
-func (a EBIStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]string, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.S)
-		}
-	}
-	rows, st := a.Ix.In(vals)
-	return rows, st, nil
-}
-
-// Range is unsupported on string attributes.
-func (a EBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// OrderedEBI adapts an order-preserving encoded bitmap index, answering
-// ranges with the MSB-first comparison pass.
-type OrderedEBI struct{ Ix *core.OrderedIndex[int64] }
-
-// Eq implements ColumnIndex.
-func (a OrderedEBI) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.Index().IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Index().Eq(v.I)
-	return rows, st, nil
-}
-
-// In implements ColumnIndex.
-func (a OrderedEBI) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.Index().In(vals)
-	return rows, st, nil
-}
-
-// Range implements ColumnIndex.
-func (a OrderedEBI) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	rows, st := a.Ix.Range(lo, hi)
-	return rows, st, nil
-}
 
 // SimpleInt adapts a simple bitmap index over int64 values.
 type SimpleInt struct{ Ix *simplebitmap.Index[int64] }

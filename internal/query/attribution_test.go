@@ -222,7 +222,7 @@ func pagedFixture(t *testing.T, n int) (*Planner, *pagestore.PagedIndex[int64]) 
 	}
 	paged := pagestore.NewPagedIndex(ix, 64, 64)
 	pl := NewPlanner(NewExecutor(tab))
-	if err := pl.AddPath("v", AccessPath{Name: "paged-ebi", Index: PagedEBIInt{Ix: paged}, Model: EBIModel(ix.K())}); err != nil {
+	if err := pl.AddPath("v", AccessPath{Name: "paged-ebi", Index: PagedEBI[int64]{Ix: paged}, Model: EBIModel(ix.K())}); err != nil {
 		t.Fatal(err)
 	}
 	return pl, paged

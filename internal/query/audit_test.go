@@ -15,7 +15,7 @@ type testSink struct {
 	recs   []*AuditRecord
 }
 
-func (s *testSink) SampleQuery() bool          { return s.stride == 1 }
+func (s *testSink) SampleQuery() bool           { return s.stride == 1 }
 func (s *testSink) ObserveQuery(r *AuditRecord) { s.recs = append(s.recs, r) }
 
 func auditFixture(t *testing.T) (*table.Table, *Executor, *Planner) {
@@ -43,10 +43,10 @@ func auditFixture(t *testing.T) (*table.Table, *Executor, *Planner) {
 		t.Fatal(err)
 	}
 	ex := NewExecutor(tab)
-	ex.Use("region", EBIStr{Ix: region})
+	ex.Use("region", EBI[string]{Ix: region})
 	ex.Use("qty", EBIInt{Ix: qty})
 	pl := NewPlanner(ex)
-	if err := pl.AddPath("region", AccessPath{Name: "ebi", Index: EBIStr{Ix: region}, Model: EBIModel(region.K())}); err != nil {
+	if err := pl.AddPath("region", AccessPath{Name: "ebi", Index: EBI[string]{Ix: region}, Model: EBIModel(region.K())}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.AddPath("qty", AccessPath{Name: "ebi", Index: EBIInt{Ix: qty}, Model: EBIModel(qty.K())}); err != nil {

@@ -23,29 +23,6 @@ func isFused(ix ColumnIndex, op Op) bool {
 	return ok && f.FusedOp(op)
 }
 
-// FusedOp implements FusedIndex: every EBIInt operation — Eq, In, and the
-// discrete-domain Range rewrite — evaluates one compiled reduced
-// expression through the fused kernel.
-func (a EBIInt) FusedOp(op Op) bool { return true }
-
-// FusedOp implements FusedIndex: Eq and In are fused; Range is
-// unsupported on string attributes and never reaches an evaluator.
-func (a EBIStr) FusedOp(op Op) bool { return op != OpRange }
-
-// FusedOp implements FusedIndex: Eq and In route through the wrapped
-// index's fused evaluator; Range uses the MSB-first comparison pass,
-// which is a different algorithm entirely.
-func (a OrderedEBI) FusedOp(op Op) bool { return op != OpRange }
-
-// FusedOp implements FusedIndex: Synced reads evaluate the same fused
-// programs against an epoch snapshot, including the discrete-domain
-// Range rewrite.
-func (a SyncedEBIInt) FusedOp(op Op) bool { return true }
-
-// FusedOp implements FusedIndex: Eq and In are fused; Range is
-// unsupported on string attributes and never reaches an evaluator.
-func (a SyncedEBIStr) FusedOp(op Op) bool { return op != OpRange }
-
 // FusedOp implements FusedIndex: In and the interval-probing Range OR
 // their operands in one fused pass over compressed word streams; Eq is a
 // single-vector decompress with nothing to fuse.

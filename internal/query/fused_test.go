@@ -41,11 +41,11 @@ func TestFusedOpTruthTable(t *testing.T) {
 		ix         FusedIndex
 		eq, in, rn bool
 	}{
-		{"EBIInt", EBIInt{}, true, true, true},
-		{"EBIStr", EBIStr{}, true, true, false},
+		{"EBI[int64] over Index", EBI[int64]{Ix: (*core.Index[int64])(nil)}, true, true, true},
+		{"EBI[string] over Index", EBI[string]{Ix: (*core.Index[string])(nil)}, true, true, false},
 		{"OrderedEBI", OrderedEBI{}, true, true, false},
-		{"SyncedEBIInt", SyncedEBIInt{}, true, true, true},
-		{"SyncedEBIStr", SyncedEBIStr{}, true, true, false},
+		{"EBI[int64] over Synced", EBI[int64]{Ix: (*core.Synced[int64])(nil)}, true, true, true},
+		{"EBI[string] over Synced", EBI[string]{Ix: (*core.Synced[string])(nil)}, true, true, false},
 		{"CompressedSimpleInt", CompressedSimpleInt{}, false, true, true},
 	}
 	for _, c := range cases {

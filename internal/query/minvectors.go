@@ -27,24 +27,3 @@ func leafExcess(ix ColumnIndex, delta, vectorsRead int) int {
 	}
 	return 0
 }
-
-// TheoreticalMinVectors implements MinVectorsIndex.
-func (a EBIInt) TheoreticalMinVectors(delta int) int { return a.Ix.TheoreticalMinVectors(delta) }
-
-// TheoreticalMinVectors implements MinVectorsIndex.
-func (a EBIStr) TheoreticalMinVectors(delta int) int { return a.Ix.TheoreticalMinVectors(delta) }
-
-// TheoreticalMinVectors implements MinVectorsIndex.
-func (a OrderedEBI) TheoreticalMinVectors(delta int) int {
-	return a.Ix.Index().TheoreticalMinVectors(delta)
-}
-
-// TheoreticalMinVectors implements MinVectorsIndex.
-func (a SyncedEBIInt) TheoreticalMinVectors(delta int) int {
-	return a.Ix.TheoreticalMinVectors(delta)
-}
-
-// TheoreticalMinVectors implements MinVectorsIndex.
-func (a SyncedEBIStr) TheoreticalMinVectors(delta int) int {
-	return a.Ix.TheoreticalMinVectors(delta)
-}

@@ -31,7 +31,7 @@ func TestSpanMatchesReturnedStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := NewExecutor(tab)
-	ex.Use("region", EBIStr{Ix: ix})
+	ex.Use("region", EBI[string]{Ix: ix})
 
 	withTelemetry(t)
 	p := Or{Preds: []Predicate{

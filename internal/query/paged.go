@@ -25,108 +25,60 @@ type PageStatsIndex interface {
 	PageStats() (hits, misses int)
 }
 
-// PagedEBIInt adapts a page-charged encoded bitmap index over int64
-// values: every selection faults its vectors' page runs through the
-// buffer cache (and heatmap) before evaluating.
-type PagedEBIInt struct{ Ix *pagestore.PagedIndex[int64] }
+// PagedEBI adapts a page-charged encoded bitmap index: every selection
+// faults its vectors' page runs through the buffer cache (and heatmap)
+// before evaluating. Ranges use the discrete-domain IN rewrite and are
+// unsupported on strings.
+type PagedEBI[V ebiValue] struct{ Ix *pagestore.PagedIndex[V] }
 
 // Eq implements ColumnIndex.
-func (a PagedEBIInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+func (a PagedEBI[V]) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	return a.EvalLeafCtx(context.Background(), Eq{Val: v})
 }
 
 // In implements ColumnIndex.
-func (a PagedEBIInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+func (a PagedEBI[V]) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	return a.EvalLeafCtx(context.Background(), In{Vals: vs})
 }
 
-// Range implements ColumnIndex via the discrete-domain IN rewrite.
-func (a PagedEBIInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
+// Range implements ColumnIndex.
+func (a PagedEBI[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return a.EvalLeafCtx(context.Background(), Range{Lo: lo, Hi: hi})
 }
 
-// EvalLeafCtx implements CtxColumnIndex: identical routing to the plain
-// methods, with page fetches attributed to the span in ctx.
-func (a PagedEBIInt) EvalLeafCtx(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
+// EvalLeafCtx implements CtxColumnIndex: the plain methods' routing, with
+// page fetches attributed to the span in ctx.
+func (a PagedEBI[V]) EvalLeafCtx(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
+	var vals []V
 	switch p := p.(type) {
 	case Eq:
 		if p.Val.Null {
 			rows, st := a.Ix.Index().IsNull()
 			return rows, st, nil
 		}
-		rows, st, _ := a.Ix.InContext(ctx, []int64{p.Val.I})
-		return rows, st, nil
+		vals = []V{cellValue[V](p.Val)}
 	case In:
-		rows, st, _ := a.Ix.InContext(ctx, intVals(p.Vals))
-		return rows, st, nil
+		vals = cellValues[V](p.Vals)
 	case Range:
-		var vals []int64
-		for _, v := range a.Ix.Index().Values() {
-			if v >= p.Lo && v <= p.Hi {
-				vals = append(vals, v)
-			}
+		if !isInt[V]() {
+			return nil, iostat.Stats{}, ErrUnsupported
 		}
-		rows, st, _ := a.Ix.InContext(ctx, vals)
-		return rows, st, nil
+		vals = inRange(a.Ix.Index().Values(), p.Lo, p.Hi)
+	default:
+		return nil, iostat.Stats{}, ErrUnsupported
 	}
-	return nil, iostat.Stats{}, ErrUnsupported
+	rows, st, _ := a.Ix.InContext(ctx, vals)
+	return rows, st, nil
 }
 
 // PageStats implements PageStatsIndex with the cache's cumulative
 // counters.
-func (a PagedEBIInt) PageStats() (hits, misses int) {
+func (a PagedEBI[V]) PageStats() (hits, misses int) {
 	s := a.Ix.Cache().Stats()
 	return s.Hits, s.Misses
 }
 
 // TheoreticalMinVectors implements MinVectorsIndex.
-func (a PagedEBIInt) TheoreticalMinVectors(delta int) int {
-	return a.Ix.Index().TheoreticalMinVectors(delta)
-}
-
-// PagedEBIStr is PagedEBIInt over string values; ranges are
-// unsupported, like EBIStr.
-type PagedEBIStr struct{ Ix *pagestore.PagedIndex[string] }
-
-// Eq implements ColumnIndex.
-func (a PagedEBIStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), Eq{Val: v})
-}
-
-// In implements ColumnIndex.
-func (a PagedEBIStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), In{Vals: vs})
-}
-
-// Range is unsupported on string attributes.
-func (a PagedEBIStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// EvalLeafCtx implements CtxColumnIndex.
-func (a PagedEBIStr) EvalLeafCtx(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			rows, st := a.Ix.Index().IsNull()
-			return rows, st, nil
-		}
-		rows, st, _ := a.Ix.InContext(ctx, []string{p.Val.S})
-		return rows, st, nil
-	case In:
-		rows, st, _ := a.Ix.InContext(ctx, strVals(p.Vals))
-		return rows, st, nil
-	}
-	return nil, iostat.Stats{}, ErrUnsupported
-}
-
-// PageStats implements PageStatsIndex.
-func (a PagedEBIStr) PageStats() (hits, misses int) {
-	s := a.Ix.Cache().Stats()
-	return s.Hits, s.Misses
-}
-
-// TheoreticalMinVectors implements MinVectorsIndex.
-func (a PagedEBIStr) TheoreticalMinVectors(delta int) int {
+func (a PagedEBI[V]) TheoreticalMinVectors(delta int) int {
 	return a.Ix.Index().TheoreticalMinVectors(delta)
 }

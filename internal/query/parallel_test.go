@@ -166,7 +166,7 @@ func TestParallelUnsupportedFallsBackSequential(t *testing.T) {
 	}
 	pl.EnableParallel(ParallelPolicy{MinWords: 1, MaxDegree: 4})
 
-	// OrderedEBI.RangePar is ErrUnsupported: must still route to the ebi
+	// OrderedEBI's parallel Range is ErrUnsupported: must still route to the ebi
 	// path (sequential Range), not the executor fallback.
 	rows, _, choices, err := pl.Eval(Range{Col: "v", Lo: 2, Hi: 5})
 	if err != nil {

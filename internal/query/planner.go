@@ -381,14 +381,14 @@ func (pl *Planner) eval(ctx context.Context, p Predicate, st *iostat.Stats, choi
 // segmented parallel engine when the cost gate picked a degree above one
 // (deg, computed by the caller via parallelDegree so it can label the
 // evaluation) and the path implements ParallelIndex. A parallel refusal
-// (ErrUnsupported from the *Par method) re-runs the same leaf through the
+// (ErrUnsupported from EvalLeafParallel) re-runs the same leaf through the
 // path's sequential interface; only a sequential refusal propagates as
 // ErrUnsupported to the caller's fallback logic. Returns the degree the
 // leaf actually executed with (1 = sequential). The context carries the
 // leaf's span, so traced parallel workers and page fetches nest under it.
 func (pl *Planner) execPath(ctx context.Context, path *AccessPath, p Predicate, deg int) (*bitvec.Vector, iostat.Stats, int, error) {
 	if deg > 1 {
-		rows, s, err := execLeafParallelCtx(ctx, path.Index.(ParallelIndex), p, deg)
+		rows, s, err := path.Index.(ParallelIndex).EvalLeafParallel(p, deg, obs.SpanFromContext(ctx))
 		if err == nil {
 			return rows, s, deg, nil
 		}

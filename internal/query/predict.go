@@ -32,111 +32,6 @@ type PredictLeafIndex interface {
 	PredictGen() uint64
 }
 
-// PredictLeafStats implements PredictLeafIndex, mirroring EBIInt's
-// adapter rewrites.
-func (a EBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]int64{p.Val.I}), true
-	case In:
-		return a.Ix.PredictSelectionStats(intVals(p.Vals)), true
-	case Range:
-		var vals []int64
-		for _, v := range a.Ix.Values() {
-			if v >= p.Lo && v <= p.Hi {
-				vals = append(vals, v)
-			}
-		}
-		return a.Ix.PredictSelectionStats(vals), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a EBIInt) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// PredictLeafStats implements PredictLeafIndex, mirroring EBIStr's
-// adapter rewrites. Range has no analytic model: the adapter refuses it
-// and the executor's scan fallback depends on the table, not the
-// encoding.
-func (a EBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]string{p.Val.S}), true
-	case In:
-		return a.Ix.PredictSelectionStats(strVals(p.Vals)), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a EBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// PredictLeafStats implements PredictLeafIndex for the ordered wrapper's
-// Eq/In delegations. Range runs the MSB-first comparison pass, whose
-// per-vector accounting is data-independent too but not program-compiled;
-// it is out of scope here.
-func (a OrderedEBI) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.Index().PredictIsNullStats(), true
-		}
-		return a.Ix.Index().PredictSelectionStats([]int64{p.Val.I}), true
-	case In:
-		return a.Ix.Index().PredictSelectionStats(intVals(p.Vals)), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a OrderedEBI) PredictGen() uint64 { return a.Ix.Index().PredictGen() }
-
-// PredictLeafStats implements PredictLeafIndex; every prediction pins one
-// epoch snapshot, so it is exact even while appends or a live
-// re-encoding race the audited query (basis movement shows up as a
-// PredictGen change).
-func (a SyncedEBIInt) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]int64{p.Val.I}), true
-	case In:
-		return a.Ix.PredictSelectionStats(intVals(p.Vals)), true
-	case Range:
-		return a.Ix.PredictSelectionStats(a.rangeVals(p.Lo, p.Hi)), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a SyncedEBIInt) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// PredictLeafStats implements PredictLeafIndex, mirroring SyncedEBIStr.
-func (a SyncedEBIStr) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]string{p.Val.S}), true
-	case In:
-		return a.Ix.PredictSelectionStats(strVals(p.Vals)), true
-	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a SyncedEBIStr) PredictGen() uint64 { return a.Ix.PredictGen() }
-
 // predictFold mixes a leaf stamp into a whole-query basis stamp
 // (order-dependent FNV-style fold, so leaf order matters like the plan
 // does).

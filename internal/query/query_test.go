@@ -212,7 +212,7 @@ func TestStringAdaptersAgree(t *testing.T) {
 	}
 	scan := NewExecutor(tab)
 	for name, ad := range map[string]ColumnIndex{
-		"ebi":    EBIStr{Ix: ebi},
+		"ebi":    EBI[string]{Ix: ebi},
 		"simple": SimpleStr{Ix: simple},
 	} {
 		ex := NewExecutor(tab)
@@ -245,7 +245,7 @@ func TestCooperativityReadsOnlyVectors(t *testing.T) {
 	region, _ := core.Build(tab.Column("region").Strs(), nil, nil)
 	qty, _ := core.Build(tab.Column("qty").Ints(), nil, nil)
 	ex := NewExecutor(tab)
-	ex.Use("region", EBIStr{Ix: region})
+	ex.Use("region", EBI[string]{Ix: region})
 	ex.Use("qty", EBIInt{Ix: qty})
 	rows, st, err := ex.Eval(And{Preds: []Predicate{
 		Eq{Col: "region", Val: table.StrCell("north")},
