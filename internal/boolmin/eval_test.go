@@ -1,6 +1,7 @@
 package boolmin
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,60 @@ func BenchmarkMinimizeK10Range(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Minimize(10, on, nil)
+	}
+}
+
+// BenchmarkMinimizeDayK10 minimizes IN lists of several widths on a
+// day-shaped column: 730 values in a 1024-code space, the 293 free codes
+// passed as don't-cares, as the query path does for every In.
+func BenchmarkMinimizeDayK10(b *testing.B) {
+	day := columnShapes[0]
+	for _, w := range []int{1, 8, 64, 700} {
+		on, dc := day.inList(rand.New(rand.NewSource(int64(w))), w)
+		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Minimize(day.k, on, dc)
+			}
+		})
+	}
+}
+
+// BenchmarkMinimizeMembership minimizes IN lists with each membership
+// structure forced, the measurement denseFactor rests on: on day- and
+// product-shaped columns at widths 1, 8 and 64, and on columns of k = 14
+// and 18 whose free codes are 1/64 and 1/128 of the code space, where the
+// two structures cross over.
+func BenchmarkMinimizeMembership(b *testing.B) {
+	shapes := append([]columnShape{}, columnShapes...)
+	for _, k := range []int{14, 18} {
+		for _, div := range []int{64, 128} {
+			free := 1 << uint(k) / div
+			shapes = append(shapes, columnShape{fmt.Sprintf("k=%d,free=%d", k, free), k, 1<<uint(k) - 1 - free})
+		}
+	}
+	for _, s := range shapes {
+		widths := []int{1, 8, 64}
+		if s.k > 10 {
+			widths = []int{1}
+		}
+		for _, w := range widths {
+			on, dc := s.inList(rand.New(rand.NewSource(int64(w))), w)
+			for _, mem := range []struct {
+				name  string
+				dense func(k, n int) bool
+			}{
+				{"table", func(int, int) bool { return true }},
+				{"map", func(int, int) bool { return false }},
+			} {
+				b.Run(fmt.Sprintf("%s/width=%d/%s", s.name, w, mem.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						minimize(s.k, on, dc, mem.dense)
+					}
+				})
+			}
+		}
 	}
 }
 

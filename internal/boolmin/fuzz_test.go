@@ -9,7 +9,8 @@ import (
 
 // FuzzMinimize: for arbitrary on/don't-care partitions, the minimized
 // expression must agree with the raw min-term sum outside the don't-care
-// set and never reference more than k variables.
+// set, never reference more than k variables, and equal the tabular
+// Quine–McCluskey oracle's expression cube for cube.
 func FuzzMinimize(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 2})
 	f.Add(uint8(5), []byte{0, 0, 1, 2, 2, 1, 0})
@@ -33,6 +34,7 @@ func FuzzMinimize(f *testing.F) {
 		if !Equivalent(raw, min, dc) {
 			t.Fatalf("k=%d on=%v dc=%v: %s not equivalent to min-term sum", k, on, dc, min)
 		}
+		assertMatchesTabular(t, k, on, dc)
 	})
 }
 

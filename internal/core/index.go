@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/boolmin"
@@ -71,9 +72,11 @@ type Index[V comparable] struct {
 
 	// generation counts code-space and don't-care changes (domain
 	// expansion, widening, NULL-code allocation, re-encoding); progs, the
-	// per-code program cache, and Prepared selections are keyed by it.
+	// per-code program cache, dcs, the don't-care set, and Prepared
+	// selections are keyed by it.
 	generation uint64
 	progs      *progCache
+	dcs        *dcCache
 
 	// srcs mirrors vectors as fused-kernel operands. It is rebuilt eagerly
 	// at every point the vectors slice itself changes (construction,
@@ -176,6 +179,7 @@ func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 	ix := &Index[V]{
 		reserveVoid: !o.DisableVoidReserve,
 		useDC:       !o.DisableDontCares,
+		dcs:         new(dcCache),
 	}
 
 	switch {
@@ -237,6 +241,7 @@ func (ix *Index[V]) reserveZero() error {
 		ix.widen()
 		free = ix.freeValueCodes()
 	}
+	ix.invalidateCache()
 	return ix.mapping.Rebind(holder, free[0])
 }
 
@@ -463,14 +468,32 @@ func (ix *Index[V]) Update(row int, v V) error {
 	return nil
 }
 
+// dcCache memoizes an index's don't-care set for one code-space
+// generation. Every index gets its own when it is built, loaded, cloned
+// for publication, materialized or re-encoded. Readers of a published
+// snapshot may fill it concurrently: each computes the same set and the
+// last store wins.
+type dcCache struct{ cur atomic.Pointer[dcSet] }
+
+type dcSet struct {
+	gen   uint64
+	codes []uint32 // ascending; shared by every caller, never mutated
+}
+
 // dontCares returns the codes logical reduction may treat as don't-cares:
 // unassigned codes excluding the void and NULL codes (those can occur in
-// rows, so an expression must stay correct on them).
+// rows, so an expression must stay correct on them). The set is computed
+// once per generation; callers must not modify it.
 func (ix *Index[V]) dontCares() []uint32 {
 	if !ix.useDC {
 		return nil
 	}
-	return ix.freeValueCodes()
+	if s := ix.dcs.cur.Load(); s != nil && s.gen == ix.generation {
+		return s.codes
+	}
+	codes := ix.freeValueCodes()
+	ix.dcs.cur.Store(&dcSet{gen: ix.generation, codes: codes})
+	return codes
 }
 
 // ExprFor returns the reduced retrieval Boolean expression for the

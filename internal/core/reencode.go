@@ -153,6 +153,7 @@ func (ix *Index[V]) reencodedCopy(newMapping *encoding.Mapping[V]) (*Index[V], e
 	nix := &Index[V]{
 		mapping:     nm,
 		n:           ix.n,
+		dcs:         new(dcCache),
 		reserveVoid: ix.reserveVoid,
 		useDC:       ix.useDC,
 		hasNullCode: ix.hasNullCode,

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/boolmin"
 	"repro/internal/encoding"
 	"repro/internal/obs"
 )
@@ -128,5 +130,84 @@ func TestSyncedPreparedRecompilesAcrossFlip(t *testing.T) {
 	}
 	if recompiles.Value() != before+1 {
 		t.Fatalf("warm re-run recompiled again (%d total)", recompiles.Value()-before)
+	}
+}
+
+// sameAsFreshMinimize fails t unless ExprFor, which reads the index's
+// per-generation don't-care set, equals Minimize over don't-cares
+// recomputed from the mapping, for every subset of the domain.
+func sameAsFreshMinimize(t *testing.T, stage string, ix *Index[string]) {
+	t.Helper()
+	vals := ix.Values()
+	fresh := ix.freeValueCodes()
+	for sub := 0; sub < 1<<len(vals); sub++ {
+		var sel []string
+		for i, v := range vals {
+			if sub&(1<<i) != 0 {
+				sel = append(sel, v)
+			}
+		}
+		got := ix.ExprFor(sel)
+		want := boolmin.Minimize(ix.K(), ix.codesOf(sel), fresh)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ExprFor(%v) = %s, Minimize with fresh don't-cares %v = %s", stage, sel, got, fresh, want)
+		}
+	}
+}
+
+// TestDontCaresFollowGeneration pins the per-generation don't-care set:
+// each stage reads it (so a stale set would be cached) before the next
+// one changes the code space — a widen, a NULL-code allocation, a
+// domain expansion into a free code and a re-encoding, on a plain index
+// and on a Synced index's published snapshots.
+func TestDontCaresFollowGeneration(t *testing.T) {
+	ix, err := Build([]string{"a", "b", "c"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsFreshMinimize(t, "build", ix)
+	if err := ix.Append("d"); err != nil { // code space full: widens
+		t.Fatal(err)
+	}
+	sameAsFreshMinimize(t, "widen", ix)
+	if err := ix.AppendNull(); err != nil {
+		t.Fatal(err)
+	}
+	sameAsFreshMinimize(t, "null code", ix)
+	if err := ix.Append("e"); err != nil { // reuses a free code
+		t.Fatal(err)
+	}
+	sameAsFreshMinimize(t, "domain expansion", ix)
+	nm := encoding.NewMapping[string](3)
+	for i, v := range []string{"a", "b", "c", "d", "e"} {
+		nm.MustAdd(v, uint32(7-i))
+	}
+	if err := ix.Reencode(nm); err != nil {
+		t.Fatal(err)
+	}
+	sameAsFreshMinimize(t, "reencode", ix)
+
+	s, err := BuildSynced([]string{"a", "b", "c"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(stage string) {
+		t.Helper()
+		sameAsFreshMinimize(t, "synced "+stage, s.state.Load().ix)
+	}
+	snapshot("build")
+	for _, step := range []struct {
+		stage string
+		apply func() error
+	}{
+		{"widen", func() error { return s.Append("d") }},
+		{"null code", s.AppendNull},
+		{"domain expansion", func() error { return s.Append("e") }},
+		{"reencode", func() error { return s.Reencode(nm) }},
+	} {
+		if err := step.apply(); err != nil {
+			t.Fatal(err)
+		}
+		snapshot(step.stage)
 	}
 }

@@ -128,11 +128,13 @@ func wordsFor(n int) int { return (n + 63) / 64 }
 
 // publishableClone shallow-copies an index into a form safe to publish as
 // an immutable snapshot: no memoized expression cache (Eq would mutate
-// it) and a private fused-operand slice (rebuildSources reuses backing
-// arrays otherwise).
+// it), a don't-care cache of its own (the clone's code space may change
+// before it is published) and a private fused-operand slice
+// (rebuildSources reuses backing arrays otherwise).
 func publishableClone[V comparable](ix *Index[V]) *Index[V] {
 	c := *ix
 	c.progs = nil
+	c.dcs = new(dcCache)
 	c.srcs = nil
 	c.rebuildSources()
 	return &c
@@ -172,6 +174,7 @@ func expandedClone[V comparable](ix *Index[V], v V) (*Index[V], uint32, error) {
 	if err := c.mapping.Add(v, code); err != nil {
 		return nil, 0, err
 	}
+	c.invalidateCache()
 	return c, code, nil
 }
 
@@ -187,6 +190,7 @@ func nullEnabledClone[V comparable](ix *Index[V]) *Index[V] {
 	}
 	c.nullCode = free[0]
 	c.hasNullCode = true
+	c.invalidateCache()
 	return c
 }
 
@@ -329,6 +333,7 @@ func materialize[V comparable](st *epochState[V]) *Index[V] {
 	ix := &Index[V]{
 		mapping:     src.mapping.Clone(),
 		n:           src.n,
+		dcs:         new(dcCache),
 		reserveVoid: src.reserveVoid,
 		useDC:       src.useDC,
 		hasNullCode: src.hasNullCode,
@@ -364,6 +369,7 @@ func adoptShape[V comparable](ix, cur *Index[V]) {
 		ix.vectors = append(ix.vectors, nv)
 	}
 	ix.rebuildSources()
+	ix.invalidateCache()
 }
 
 // foldLocked materializes the current state and republishes it with an
