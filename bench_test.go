@@ -210,7 +210,7 @@ func queryMixFixture(b *testing.B) (*workload.Star, map[string]*query.Executor, 
 		if err != nil {
 			b.Fatal(err)
 		}
-		ex.Use(col, query.SimpleInt{Ix: ix})
+		ex.Use(col, query.Simple[int64]{Ix: ix})
 	}
 	execs["simple"] = ex
 
@@ -280,6 +280,8 @@ func BenchmarkGroupSet(b *testing.B) {
 
 // BenchmarkMaintenanceAppend compares per-tuple append cost, simple vs
 // encoded, across cardinalities (Section 3.1's O(h) with h=m vs h=log m).
+// Encoded appends go through Synced and include the closing Flush that
+// folds them into the base vectors.
 func BenchmarkMaintenanceAppend(b *testing.B) {
 	for _, m := range []int{256, 4096} {
 		column := uniformColumn(m)
@@ -294,7 +296,7 @@ func BenchmarkMaintenanceAppend(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("encoded/m=%d", m), func(b *testing.B) {
-			ix, err := core.Build(column, nil, nil)
+			ix, err := core.BuildSynced(column, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -304,6 +306,7 @@ func BenchmarkMaintenanceAppend(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			ix.Flush()
 		})
 	}
 }
@@ -393,7 +396,7 @@ func BenchmarkEncodingAblation(b *testing.B) {
 func BenchmarkVoidZeroAblation(b *testing.B) {
 	m := 64
 	column := uniformColumn(m)
-	ebi, err := core.Build(column, nil, nil)
+	ebi, err := core.BuildSynced(column, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func buildAuditRig(cfg config) (*auditRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := pl.AddPath("day", query.AccessPath{Name: "simple", Index: query.SimpleInt{Ix: simpleDay}, Model: query.SimpleBitmapModel()}); err != nil {
+	if err := pl.AddPath("day", query.AccessPath{Name: "simple", Index: query.Simple[int64]{Ix: simpleDay}, Model: query.SimpleBitmapModel()}); err != nil {
 		return nil, err
 	}
 	if err := pl.AddPath("day", query.AccessPath{Name: "ebi", Index: query.OrderedEBI{Ix: day}, Model: query.EBIModel(day.K())}); err != nil {
@@ -66,8 +66,8 @@ func buildAuditRig(cfg config) (*auditRig, error) {
 		return nil, err
 	}
 	refEx := query.NewExecutor(star.Schema.Fact)
-	refEx.Use("day", query.SimpleInt{Ix: simpleDay})
-	refEx.Use("product", query.SimpleInt{Ix: simpleProd})
+	refEx.Use("day", query.Simple[int64]{Ix: simpleDay})
+	refEx.Use("product", query.Simple[int64]{Ix: simpleProd})
 	return &auditRig{ex: ex, pl: pl, refEx: refEx, tab: star.Schema.Fact}, nil
 }
 

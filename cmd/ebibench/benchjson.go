@@ -172,7 +172,7 @@ func runBenchSuite(cfg config) (*BenchFile, error) {
 	// EXPLAIN ANALYZE feature instruments.
 	ex := query.NewExecutor(star.Schema.Fact)
 	pl := query.NewPlanner(ex)
-	if err := pl.AddPath("day", query.AccessPath{Name: "simple", Index: query.SimpleInt{Ix: simple}, Model: query.SimpleBitmapModel()}); err != nil {
+	if err := pl.AddPath("day", query.AccessPath{Name: "simple", Index: query.Simple[int64]{Ix: simple}, Model: query.SimpleBitmapModel()}); err != nil {
 		return nil, err
 	}
 	if err := pl.AddPath("day", query.AccessPath{Name: "ebi", Index: query.OrderedEBI{Ix: ebi}, Model: query.EBIModel(ebi.K())}); err != nil {

@@ -27,7 +27,7 @@ func runDrift(cfg config) error {
 	r := rand.New(rand.NewSource(cfg.seed))
 	m := 63
 	column := workload.Uniform(r, cfg.n, m)
-	ix, err := core.Build(column, nil, nil)
+	ix, err := core.BuildSynced(column, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -48,7 +48,7 @@ func runDrift(cfg config) error {
 		}
 	}
 	ex := query.NewExecutor(tab)
-	ex.Use("v", query.EBIInt{Ix: ix})
+	ex.Use("v", query.EBI[int64]{Ix: ix})
 	inCells := func(vals []int64) []table.Cell {
 		cells := make([]table.Cell, len(vals))
 		for i, v := range vals {

@@ -108,7 +108,7 @@ func runPlanner(cfg config) error {
 		return err
 	}
 	pl := query.NewPlanner(query.NewExecutor(tab))
-	if err := pl.AddPath("v", query.AccessPath{Name: "simple", Index: query.SimpleInt{Ix: simple}, Model: query.SimpleBitmapModel()}); err != nil {
+	if err := pl.AddPath("v", query.AccessPath{Name: "simple", Index: query.Simple[int64]{Ix: simple}, Model: query.SimpleBitmapModel()}); err != nil {
 		return err
 	}
 	if err := pl.AddPath("v", query.AccessPath{Name: "encoded", Index: query.OrderedEBI{Ix: ordered}, Model: query.EBIModel(ordered.K())}); err != nil {

@@ -18,7 +18,7 @@ func runReencode(cfg config) error {
 	r := rand.New(rand.NewSource(cfg.seed))
 	m := 64
 	column := workload.Uniform(r, cfg.n, m)
-	ix, err := core.Build(column, nil, nil)
+	ix, err := core.BuildSynced(column, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -65,7 +65,7 @@ func runReencode(cfg config) error {
 	return nil
 }
 
-func measureWorkload(ix *core.Index[int64], preds [][]int64, weights []int) int {
+func measureWorkload(ix *core.Synced[int64], preds [][]int64, weights []int) int {
 	total := 0
 	for i, p := range preds {
 		_, st := ix.In(p)

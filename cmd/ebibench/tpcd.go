@@ -72,7 +72,7 @@ func runTPCD(cfg config) error {
 			if err != nil {
 				return err
 			}
-			ex.Use(col, query.SimpleInt{Ix: ix})
+			ex.Use(col, query.Simple[int64]{Ix: ix})
 		}
 		return nil
 	})

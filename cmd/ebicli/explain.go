@@ -45,7 +45,7 @@ func runExplain(args []string) error {
 			return err
 		}
 		if err := pl.AddPath(col, query.AccessPath{
-			Name: "simple", Index: query.SimpleInt{Ix: simple}, Model: query.SimpleBitmapModel(),
+			Name: "simple", Index: query.Simple[int64]{Ix: simple}, Model: query.SimpleBitmapModel(),
 		}); err != nil {
 			return err
 		}

@@ -151,21 +151,24 @@ func runDemo() error {
 	fmt.Printf("  rows %v, %d bitmap vector read\n", rows.Indices(), st.VectorsRead)
 
 	fmt.Println("\nmaintenance (Figure 2): append a tuple with the new value 'd'")
-	if err := ix.Append("d"); err != nil {
+	sx := core.NewSynced(ix) // the mutable handle; ix itself never changes
+	if err := sx.Append("d"); err != nil {
 		return err
 	}
-	code, _ := ix.Mapping().CodeOf("d")
-	fmt.Printf("  ceil(log2 4) = 2 still: M(d) = %02b, no new vector (k = %d)\n", code, ix.K())
+	code, _ := sx.Mapping().CodeOf("d")
+	fmt.Printf("  ceil(log2 4) = 2 still: M(d) = %02b, no new vector (k = %d)\n", code, sx.K())
 
 	fmt.Println("append a tuple with the new value 'e'")
-	if err := ix.Append("e"); err != nil {
+	if err := sx.Append("e"); err != nil {
 		return err
 	}
-	code, _ = ix.Mapping().CodeOf("e")
-	fmt.Printf("  domain grew past 4: M(e) = %03b, new vector B2 added (k = %d)\n", code, ix.K())
-	fmt.Printf("  f_e = %s; old functions gained B2': f_a = %s\n",
-		ix.DescribeSelection([]string{"e"}), ix.DescribeSelection([]string{"a"}))
-	return nil
+	code, _ = sx.Mapping().CodeOf("e")
+	fmt.Printf("  domain grew past 4: M(e) = %03b, new vector B2 added (k = %d)\n", code, sx.K())
+	return sx.WithReadLock(func(ix *core.Index[string]) error {
+		fmt.Printf("  f_e = %s; old functions gained B2': f_a = %s\n",
+			ix.DescribeSelection([]string{"e"}), ix.DescribeSelection([]string{"a"}))
+		return nil
+	})
 }
 
 func runCSV(args []string) error {

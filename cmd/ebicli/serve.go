@@ -71,27 +71,29 @@ func runServe(args []string) error {
 		}
 	}
 	ex := query.NewExecutor(tab)
-	var (
-		ix *core.Index[string]  // plain path (default)
-		sx *core.Synced[string] // epoch-flip path (-apply)
-	)
+	// The index is built behind its mutable handle either way: the drift
+	// watcher plans against it, and -apply re-encodes it live.
+	sx, err := core.BuildSynced(column, nil, nil)
+	if err != nil {
+		return err
+	}
+	var rec *drift.Recorder[string]
+	if *driftIv > 0 {
+		rec = drift.NewRecorder[string]("v", 0, 0)
+		sx.SetSelectionObserver(rec)
+	}
 	if *apply {
 		// Live re-encoding flips the whole vector set atomically, which
-		// the paged wrapper (pinned to one plain index's pages) cannot
+		// the paged wrapper (pinned to one snapshot's pages) cannot
 		// follow yet — apply mode serves the Synced index directly.
-		sx, err = core.BuildSynced(column, nil, nil)
-		if err != nil {
-			return err
-		}
 		ex.Use("v", query.EBI[string]{Ix: sx})
 	} else {
-		ix, err = core.Build(column, nil, nil)
-		if err != nil {
-			return err
-		}
-		// Serve through a paged wrapper: vector reads are charged against a
-		// small simulated buffer cache, so /debug/heatmap shows page-access
-		// skew and traces gain ebi.page.fetch spans under each query leaf.
+		// Serve the current snapshot through a paged wrapper: vector
+		// reads are charged against a small simulated buffer cache, so
+		// /debug/heatmap shows page-access skew and traces gain
+		// ebi.page.fetch spans under each query leaf.
+		var ix *core.Index[string]
+		_ = sx.WithReadLock(func(snap *core.Index[string]) error { ix = snap; return nil })
 		paged := pagestore.NewPagedIndex(ix, 32, 64)
 		paged.RegisterHeatmap("v")
 		defer paged.UnregisterHeatmap("v")
@@ -103,13 +105,7 @@ func runServe(args []string) error {
 		return err
 	}
 	defer ln.Close()
-	rows, card, k := 0, 0, 0
-	if *apply {
-		rows, card, k = sx.Len(), sx.Cardinality(), sx.K()
-	} else {
-		rows, card, k = ix.Len(), ix.Cardinality(), ix.K()
-	}
-	fmt.Printf("indexed %d rows, %d distinct values, %d bitmap vectors\n", rows, card, k)
+	fmt.Printf("indexed %d rows, %d distinct values, %d bitmap vectors\n", sx.Len(), sx.Cardinality(), sx.K())
 	fmt.Printf("telemetry on http://%s/ — the / index lists every endpoint\n", ln.Addr())
 
 	var scraper *obs.Scraper
@@ -141,19 +137,13 @@ func runServe(args []string) error {
 		fmt.Printf("audit plane sampling %.4g of executions — /debug/audit\n", *auditRate)
 	}
 	if *driftIv > 0 {
-		rec := drift.NewRecorder[string]("v", 0, 0)
 		cfg := drift.Config{Interval: *driftIv}
-		var w *drift.Watcher[string]
 		if *apply {
 			cfg.Apply = true
 			cfg.ScoreThreshold = 0.1
 			cfg.ApplyCooldown = 10 * *driftIv
-			sx.SetSelectionObserver(rec)
-			w = drift.NewWatcher[string](sx, rec, cfg)
-		} else {
-			ix.SetSelectionObserver(rec)
-			w = drift.NewWatcher[string](ix, rec, cfg)
 		}
+		w := drift.NewWatcher[string](sx, rec, cfg)
 		w.Start()
 		defer w.Stop()
 		if *apply {
@@ -166,7 +156,7 @@ func runServe(args []string) error {
 		if *apply {
 			go hotGroupLoop(ex, sx.Values(), *interval)
 		} else {
-			go queryLoop(ex, ix.Values(), *interval)
+			go queryLoop(ex, sx.Values(), *interval)
 		}
 		fmt.Printf("demo query loop running every %s\n", *interval)
 	}

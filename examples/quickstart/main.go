@@ -48,18 +48,27 @@ func main() {
 	fmt.Printf("product IN [4000,4256): %d rows, %d vectors read (simple index: %d)\n",
 		rows.Count(), st.VectorsRead, len(list))
 
-	// Deletion voids the tuple (code 0); no existence mask is ever ANDed.
+	// An Index is an immutable snapshot; Synced is the handle that changes
+	// it. Deletion voids the tuple (code 0); no existence mask is ever
+	// ANDed.
 	before := rows.Count()
 	target := rows.NextSet(0)
-	if err := ix.Delete(target); err != nil {
+	sx := core.NewSynced(ix)
+	if err := sx.Delete(target); err != nil {
 		log.Fatal(err)
 	}
-	rows, _ = ix.In(list)
+	rows, _ = sx.In(list)
 	fmt.Printf("after deleting row %d: %d -> %d rows, no existence vector needed (Theorem 2.1)\n",
 		target, before, rows.Count())
 
-	// Aggregates evaluate directly on the index.
-	sum := core.Sum(ix, rows, func(v int64) float64 { return float64(v) })
-	med, _ := core.Median(ix, rows, func(a, b int64) bool { return a < b })
-	fmt.Printf("sum(product) over selection = %.0f, median = %d\n", sum, med)
+	// Aggregates evaluate directly on a snapshot of the index.
+	err = sx.WithReadLock(func(ix *core.Index[int64]) error {
+		sum := core.Sum(ix, rows, func(v int64) float64 { return float64(v) })
+		med, _ := core.Median(ix, rows, func(a, b int64) bool { return a < b })
+		fmt.Printf("sum(product) over selection = %.0f, median = %d\n", sum, med)
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 }

@@ -28,8 +28,9 @@ func main() {
 	}
 	fmt.Printf("warehouse: SALES %d rows, PRODUCT %d rows\n\n", star.Schema.Fact.Len(), 500)
 
-	// --- Index the fact table.
-	catIx, err := core.Build(star.Category, nil, nil)
+	// --- Index the fact table behind the mutable handle, so the encoding
+	// can adapt later.
+	catIx, err := core.BuildSynced(star.Category, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,10 @@ func main() {
 
 	// --- Persist the adapted index and reload it.
 	var file bytes.Buffer // stands in for a file on disk
-	if err := core.Save(&file, catIx, core.Int64Codec{}); err != nil {
+	err = catIx.WithReadLock(func(ix *core.Index[int64]) error {
+		return core.Save(&file, ix, core.Int64Codec{})
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	loaded, err := core.Load[int64](bytes.NewReader(file.Bytes()), core.Int64Codec{})

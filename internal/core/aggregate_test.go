@@ -22,8 +22,10 @@ func TestHistogramAndCounts(t *testing.T) {
 	if ix.CountDistinct(all) != 3 {
 		t.Fatalf("CountDistinct = %d", ix.CountDistinct(all))
 	}
-	_ = ix.Delete(0)
-	_ = ix.AppendNull()
+	s := NewSynced(ix)
+	_ = s.Delete(0)
+	_ = s.AppendNull()
+	ix = snapshot(s)
 	all, _ = ix.Existing()
 	counts, _ = ix.Histogram(all)
 	if counts[5] != 2 {
@@ -158,15 +160,16 @@ func TestPropHistogramVectorsMatchesDecode(t *testing.T) {
 			col[i] = r.Intn(12)
 			isNull[i] = r.Intn(10) == 0
 		}
-		ix, err := Build(col, isNull, nil)
+		s, err := BuildSynced(col, isNull, nil)
 		if err != nil {
 			return false
 		}
 		for d := 0; d < n/10; d++ {
-			if ix.Delete(r.Intn(n)) != nil {
+			if s.Delete(r.Intn(n)) != nil {
 				return false
 			}
 		}
+		ix := snapshot(s)
 		var sel []int
 		for v := 0; v < 12; v++ {
 			if r.Intn(2) == 0 {

@@ -10,7 +10,7 @@ import (
 // NullSupport requested up front reserves a code even before any NULL
 // arrives, so later AppendNull cannot widen the index.
 func TestNullSupportPreallocated(t *testing.T) {
-	ix, err := Build([]string{"a", "b", "c"}, nil, &Options[string]{NullSupport: true})
+	ix, err := BuildSynced([]string{"a", "b", "c"}, nil, &Options[string]{NullSupport: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCustomWideMapping(t *testing.T) {
 // Prepared selections on an index that is then re-encoded recompile.
 func TestPreparedSurvivesReencode(t *testing.T) {
 	col := []int{0, 1, 2, 3, 0, 1}
-	ix, err := Build(col, nil, nil)
+	ix, err := BuildSynced(col, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,10 +51,10 @@ func ExampleIndex_Prepare() {
 	// 4 rows via 1 vector(s)
 }
 
-// ExampleIndex_Delete shows Theorem 2.1: deleted tuples are voided to
+// ExampleSynced_Delete shows Theorem 2.1: deleted tuples are voided to
 // code 0 and silently drop out of every selection.
-func ExampleIndex_Delete() {
-	ix, err := core.Build([]string{"x", "y", "x"}, nil, nil)
+func ExampleSynced_Delete() {
+	ix, err := core.BuildSynced([]string{"x", "y", "x"}, nil, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -95,11 +95,11 @@ func TestPreparedEvalIntoPanicsOnLengthMismatch(t *testing.T) {
 
 // TestCachedProgramSurvivesMutation checks that the program cache
 // invalidates correctly: after appends (including a widening append that
-// grows k and rebuilds the source slice), Eq and EqInto still agree with a
-// fresh evaluation.
+// grows k and rebuilds the source slice) and a fold, Eq and EqInto still
+// agree with a fresh evaluation.
 func TestCachedProgramSurvivesMutation(t *testing.T) {
 	col := []int64{0, 1, 2, 3}
-	ix, err := Build(col, nil, nil)
+	ix, err := BuildSynced(col, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +107,9 @@ func TestCachedProgramSurvivesMutation(t *testing.T) {
 	for v := int64(4); v < 40; v++ {
 		if err := ix.Append(v); err != nil {
 			t.Fatal(err)
+		}
+		if v == 20 {
+			ix.Flush()
 		}
 	}
 	dst := bitvec.New(ix.Len())

@@ -47,55 +47,71 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzBuildQueryDelete drives the index through arbitrary operation
-// sequences derived from fuzz bytes and checks invariants throughout.
+// FuzzBuildQueryDelete drives a Synced index through arbitrary operation
+// sequences derived from fuzz bytes — appends (with domain expansion and
+// widening), NULL appends, deletes, and tail folds, explicit and at a
+// small threshold — and checks every selection against a mirror of the
+// rows.
 func FuzzBuildQueryDelete(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 4, 5})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := New[int](nil, nil)
+		s, err := BuildSynced[int](nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.SetFoldThreshold(8)
 		mirror := make([]int, 0, len(data)) // -1 = void, -2 = null
 		for _, b := range data {
 			switch {
 			case b >= 250: // delete a row
-				if ix.Len() > 0 {
-					row := int(b) % ix.Len()
-					if err := ix.Delete(row); err != nil {
+				if len(mirror) > 0 {
+					row := int(b) % len(mirror)
+					if err := s.Delete(row); err != nil {
 						t.Fatal(err)
 					}
 					mirror[row] = -1
 				}
 			case b >= 240: // append NULL
-				if err := ix.AppendNull(); err != nil {
+				if err := s.AppendNull(); err != nil {
 					t.Fatal(err)
 				}
 				mirror = append(mirror, -2)
+			case b >= 236: // fold the tail
+				s.Flush()
 			default: // append value b%32
 				v := int(b) % 32
-				if err := ix.Append(v); err != nil {
+				if err := s.Append(v); err != nil {
 					t.Fatal(err)
 				}
 				mirror = append(mirror, v)
 			}
 		}
-		if err := ix.CheckInvariants(); err != nil {
+		if s.Len() != len(mirror) {
+			t.Fatalf("Len = %d, mirror has %d rows", s.Len(), len(mirror))
+		}
+		if err := snapshot(s).CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		// One full query sweep against the mirror.
 		for v := 0; v < 32; v++ {
-			rows, st := ix.Eq(v)
-			if st.VectorsRead > ix.K() {
-				t.Fatalf("Eq(%d) read %d vectors, k=%d", v, st.VectorsRead, ix.K())
+			rows, st := s.Eq(v)
+			if st.VectorsRead > s.K() {
+				t.Fatalf("Eq(%d) read %d vectors, k=%d", v, st.VectorsRead, s.K())
 			}
 			for i, mv := range mirror {
 				if rows.Get(i) != (mv == v) {
 					t.Fatalf("Eq(%d) wrong at row %d (mirror %d)", v, i, mv)
 				}
+			}
+		}
+		nulls, _ := s.IsNull()
+		existing, _ := s.Existing()
+		for i, mv := range mirror {
+			if nulls.Get(i) != (mv == -2) || existing.Get(i) != (mv >= 0) {
+				t.Fatalf("row %d (mirror %d): IsNull %v, Existing %v", i, mv, nulls.Get(i), existing.Get(i))
 			}
 		}
 	})

@@ -29,14 +29,13 @@ func TestGroupSetPaperVectorCounts(t *testing.T) {
 		for i := range domain {
 			domain[i] = i
 		}
-		ix, err := New(domain, &Options[int]{DisableVoidReserve: true})
+		column := make([]int, n)
+		for i := range column {
+			column[i] = i % m
+		}
+		ix, err := Build(column, nil, &Options[int]{Mapping: encoding.MappingOf(domain), DisableVoidReserve: true})
 		if err != nil {
 			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := ix.Append(i % m); err != nil {
-				t.Fatal(err)
-			}
 		}
 		return ix
 	}
@@ -109,11 +108,10 @@ func TestGroupSetKeyWidthLimit(t *testing.T) {
 		for j := range domain {
 			domain[j] = j
 		}
-		ix, err := New(domain, &Options[int]{DisableVoidReserve: true})
+		ix, err := Build([]int{0}, nil, &Options[int]{Mapping: encoding.MappingOf(domain), DisableVoidReserve: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = ix.Append(0)
 		cols = append(cols, ix)
 	}
 	if _, err := NewGroupSet(cols...); err == nil {

@@ -27,7 +27,7 @@ import (
 	"repro/internal/reorder"
 )
 
-// Options configures Build and New.
+// Options configures Build.
 type Options[V comparable] struct {
 	// Mapping supplies a custom encoding (hierarchy, total-order
 	// preserving, well-defined wrt a workload, ...). When nil, Build
@@ -57,7 +57,11 @@ type Options[V comparable] struct {
 	Reorder []int
 }
 
-// Index is an encoded bitmap index over values of type V.
+// Index is an encoded bitmap index over values of type V. It is an
+// immutable snapshot: Build, BuildOrdered and Load construct one, and
+// nothing changes it afterwards, so every read (Eq, EqInto, In,
+// Prepare().Eval, ...) is safe for concurrent use. Synced is the mutable
+// handle: each of its writes publishes a new snapshot.
 type Index[V comparable] struct {
 	mapping *encoding.Mapping[V]
 	vectors []*bitvec.Vector // vectors[i] = B_i (LSB first)
@@ -71,33 +75,51 @@ type Index[V comparable] struct {
 	deleted int // number of voided rows (diagnostics)
 
 	// generation counts code-space and don't-care changes (domain
-	// expansion, widening, NULL-code allocation, re-encoding); progs, the
-	// per-code program cache, dcs, the don't-care set, and Prepared
-	// selections are keyed by it.
+	// expansion, widening, NULL-code allocation) made while the index is
+	// private; progs, the per-code program cache, and dcs, the
+	// don't-care set, are keyed by it.
 	generation uint64
 	progs      *progCache
 	dcs        *dcCache
 
-	// srcs mirrors vectors as fused-kernel operands. It is rebuilt eagerly
-	// at every point the vectors slice itself changes (construction,
-	// widening, deserialization, re-encoding) so read paths on a published
-	// Synced snapshot never mutate it.
+	// srcs mirrors vectors as fused-kernel operands; fitVectors
+	// refreshes it wherever the vectors slice is replaced.
 	srcs []bitvec.WordSource
 
 	// observer, when non-nil, receives every value-selection evaluation
-	// (see SelectionObserver). Read paths only load it, so observation is
-	// safe on a published Synced snapshot.
+	// (see SelectionObserver); Synced.SetSelectionObserver installs it.
 	observer SelectionObserver[V]
 }
 
-// rebuildSources refreshes the fused-operand view of the vectors slice.
-// Must be called from every mutation that replaces or extends the slice
-// (appending bits to an existing vector needs nothing: the *bitvec.Vector
-// pointers are stable).
-func (ix *Index[V]) rebuildSources() {
-	ix.srcs = ix.srcs[:0]
-	for _, v := range ix.vectors {
-		ix.srcs = append(ix.srcs, v)
+// derive returns a private index with ix's flags, row count and observer
+// over the given mapping and vectors, with caches of its own. Every index
+// is constructed through it.
+func (ix *Index[V]) derive(mapping *encoding.Mapping[V], vectors []*bitvec.Vector) *Index[V] {
+	c := *ix
+	c.mapping, c.vectors = mapping, vectors
+	c.progs, c.dcs = new(progCache), new(dcCache)
+	c.fitVectors()
+	return &c
+}
+
+// fitVectors extends the vectors with all-zero ones up to the mapping's
+// width (widening) and refreshes the fused operands.
+//
+// Fresh slices: a writer's private copy of a published snapshot
+// (publishableClone) starts from the snapshot's slices and shares its
+// vectors, so fitVectors always allocates new vectors and srcs slices and
+// never writes into a backing array a reader may hold. Bits are appended
+// only to vectors no reader has seen (Build, materialize, a re-encoding
+// shadow).
+func (ix *Index[V]) fitVectors() {
+	vecs := make([]*bitvec.Vector, ix.mapping.K())
+	for i := copy(vecs, ix.vectors); i < len(vecs); i++ {
+		vecs[i] = bitvec.New(ix.n)
+	}
+	ix.vectors = vecs
+	ix.srcs = make([]bitvec.WordSource, len(vecs))
+	for i, v := range vecs {
+		ix.srcs[i] = v
 	}
 }
 
@@ -123,13 +145,10 @@ func Build[V comparable](column []V, isNull []bool, opt *Options[V]) (*Index[V],
 		column = reorder.Permute(column, o.Reorder)
 		isNull = reorder.PermuteBools(isNull, o.Reorder)
 	}
-	needNull := o.NullSupport
-	if isNull != nil {
-		for _, b := range isNull {
-			if b {
-				needNull = true
-				break
-			}
+	for _, b := range isNull {
+		if b {
+			o.NullSupport = true
+			break
 		}
 	}
 
@@ -146,52 +165,29 @@ func Build[V comparable](column []V, isNull []bool, opt *Options[V]) (*Index[V],
 		}
 	}
 
-	ix, err := New(domain, &o)
+	ix, err := newIndex(domain, &o)
 	if err != nil {
 		return nil, err
 	}
-	if needNull && !ix.hasNullCode {
-		if err := ix.enableNull(); err != nil {
-			return nil, err
-		}
-	}
-	for i, v := range column {
-		if isNull != nil && isNull[i] {
-			if err := ix.AppendNull(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := ix.Append(v); err != nil {
-			return nil, err
-		}
+	if err := ix.appendColumn(column, isNull); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
 
-// New constructs an empty index over the given domain. Additional values
-// may still be appended later (domain expansion).
-func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
-	var o Options[V]
-	if opt != nil {
-		o = *opt
-	}
-	ix := &Index[V]{
-		reserveVoid: !o.DisableVoidReserve,
-		useDC:       !o.DisableDontCares,
-		dcs:         new(dcCache),
-	}
-
+// newIndex constructs an empty private index over the given domain.
+func newIndex[V comparable](domain []V, o *Options[V]) (*Index[V], error) {
+	var mapping *encoding.Mapping[V]
 	switch {
 	case o.Mapping != nil:
-		ix.mapping = o.Mapping.Clone()
+		mapping = o.Mapping.Clone()
 		for _, v := range domain {
-			if !ix.mapping.Contains(v) {
+			if !mapping.Contains(v) {
 				return nil, fmt.Errorf("core: custom mapping is missing value %v", v)
 			}
 		}
 	case len(domain) == 0:
-		ix.mapping = encoding.NewMapping[V](0)
+		mapping = encoding.NewMapping[V](0)
 	case len(o.Predicates) > 0:
 		var so encoding.SearchOptions
 		if o.Search != nil {
@@ -199,32 +195,26 @@ func New[V comparable](domain []V, opt *Options[V]) (*Index[V], error) {
 		}
 		// Make the search itself avoid code 0 so Theorem 2.1's void
 		// reservation does not disturb the optimized structure afterwards.
-		so.ReserveZeroCode = ix.reserveVoid
+		so.ReserveZeroCode = !o.DisableVoidReserve
 		m, err := encoding.FindEncoding(domain, o.Predicates, &so)
 		if err != nil {
 			return nil, err
 		}
-		ix.mapping = m
+		mapping = m
 	default:
-		ix.mapping = encoding.MappingOf(domain)
+		mapping = encoding.MappingOf(domain)
 	}
 
+	proto := &Index[V]{reserveVoid: !o.DisableVoidReserve, useDC: !o.DisableDontCares}
+	ix := proto.derive(mapping, nil)
 	if ix.reserveVoid {
 		if err := ix.reserveZero(); err != nil {
 			return nil, err
 		}
 	}
 	if o.NullSupport {
-		if err := ix.enableNull(); err != nil {
-			return nil, err
-		}
+		ix.enableNull()
 	}
-
-	ix.vectors = make([]*bitvec.Vector, ix.mapping.K())
-	for i := range ix.vectors {
-		ix.vectors[i] = bitvec.New(0)
-	}
-	ix.rebuildSources()
 	return ix, nil
 }
 
@@ -236,29 +226,19 @@ func (ix *Index[V]) reserveZero() error {
 	if !taken {
 		return nil
 	}
-	free := ix.freeValueCodes()
-	if len(free) == 0 {
-		ix.widen()
-		free = ix.freeValueCodes()
-	}
+	code := ix.freeCode()
 	ix.invalidateCache()
-	return ix.mapping.Rebind(holder, free[0])
+	return ix.mapping.Rebind(holder, code)
 }
 
 // enableNull allocates an artificial code for NULL tuples.
-func (ix *Index[V]) enableNull() error {
+func (ix *Index[V]) enableNull() {
 	if ix.hasNullCode {
-		return nil
+		return
 	}
-	free := ix.freeValueCodes()
-	if len(free) == 0 {
-		ix.widen()
-		free = ix.freeValueCodes()
-	}
-	ix.nullCode = free[0]
+	ix.nullCode = ix.freeCode()
 	ix.hasNullCode = true
 	ix.invalidateCache()
-	return nil
 }
 
 // freeValueCodes lists codes usable for new values: unassigned, not the
@@ -277,20 +257,25 @@ func (ix *Index[V]) freeValueCodes() []uint32 {
 	return out
 }
 
+// freeCode returns the first code usable for a new value, widening the
+// index when none is left.
+func (ix *Index[V]) freeCode() uint32 {
+	free := ix.freeValueCodes()
+	if len(free) == 0 {
+		ix.widen()
+		free = ix.freeValueCodes()
+	}
+	return free[0]
+}
+
 // widen grows the code space by one bit: the paper's domain-expansion case
 // (b). Existing codes zero-extend, so all existing retrieval functions
 // implicitly gain an ANDed B'_new literal; a new all-zero vector is added.
 func (ix *Index[V]) widen() {
 	mWidens.Inc()
-	newK := ix.mapping.K() + 1
-	ix.mapping = ix.mapping.Widen(newK)
+	ix.mapping = ix.mapping.Widen(ix.mapping.K() + 1)
+	ix.fitVectors()
 	ix.invalidateCache()
-	for len(ix.vectors) < newK {
-		v := bitvec.New(0)
-		v.Grow(ix.n)
-		ix.vectors = append(ix.vectors, v)
-	}
-	ix.rebuildSources()
 }
 
 // K returns the number of bitmap vectors (h = ceil(log2 m') in the
@@ -334,94 +319,72 @@ func (ix *Index[V]) AverageSparsity() float64 {
 	return total / float64(len(ix.vectors))
 }
 
-// appendCode appends one tuple whose encoded value is code.
-func (ix *Index[V]) appendCode(code uint32) {
-	mAppends.Inc()
-	ix.appendCodeQuiet(code)
+// The private builder below handles both maintenance cases of Section
+// 2.2 on an index no reader holds yet: a known value only appends k
+// bits; an unknown value expands the domain, reusing a free code when
+// ceil(log2 m) is unchanged (Figure 2a) and widening the index by a new
+// bitmap vector otherwise (Figure 2b). Only appendColumn, the build
+// path, counts appends: Synced counts each tuple when it first lands, and
+// its replays into private copies are not new tuples.
+
+// appendColumn appends a column's rows and counts them as appends.
+func (ix *Index[V]) appendColumn(column []V, isNull []bool) error {
+	for i, v := range column {
+		if isNull != nil && isNull[i] {
+			ix.appendNull()
+			continue
+		}
+		if err := ix.appendValue(v); err != nil {
+			return err
+		}
+	}
+	mAppends.Add(uint64(len(column)))
+	return nil
 }
 
-// appendCodeQuiet is appendCode without the append counter: the path for
-// replaying tuples that were already counted once when they first landed
-// (Synced's tail folds and shadow-rebuild catch-up).
-func (ix *Index[V]) appendCodeQuiet(code uint32) {
+// appendCode appends one tuple whose encoded value is code.
+func (ix *Index[V]) appendCode(code uint32) {
 	ix.n++
 	for i, vec := range ix.vectors {
 		vec.Append(code&(1<<uint(i)) != 0)
 	}
 }
 
-// Append adds a tuple with the given value, handling both maintenance
-// cases of Section 2.2: a known value only appends k bits; an unknown
-// value expands the domain, reusing a free code when
-// ceil(log2 m) is unchanged (Figure 2a) and widening the index by a new
-// bitmap vector otherwise (Figure 2b).
-func (ix *Index[V]) Append(v V) error {
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		free := ix.freeValueCodes()
-		if len(free) == 0 {
-			ix.widen()
-			free = ix.freeValueCodes()
-		}
-		code = free[0]
-		if err := ix.mapping.Add(v, code); err != nil {
-			return err
-		}
-		// The new value consumed a free code, shrinking the don't-care
-		// set; memoized expressions may now cover it.
-		ix.invalidateCache()
+// appendValue appends a tuple with value v.
+func (ix *Index[V]) appendValue(v V) error {
+	code, err := ix.codeFor(v)
+	if err != nil {
+		return err
 	}
 	ix.appendCode(code)
 	return nil
 }
 
-// appendValueQuiet is Append without the append counter, for replaying
-// already-counted tuples into a private index (tail folds, shadow
-// catch-up). Domain expansion behaves exactly like Append's.
-func (ix *Index[V]) appendValueQuiet(v V) error {
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		free := ix.freeValueCodes()
-		if len(free) == 0 {
-			ix.widen()
-			free = ix.freeValueCodes()
-		}
-		code = free[0]
-		if err := ix.mapping.Add(v, code); err != nil {
-			return err
-		}
-		ix.invalidateCache()
-	}
-	ix.appendCodeQuiet(code)
-	return nil
-}
-
-// AppendNull adds a tuple whose attribute is NULL.
-func (ix *Index[V]) AppendNull() error {
-	if !ix.hasNullCode {
-		if err := ix.enableNull(); err != nil {
-			return err
-		}
-	}
+// appendNull appends a NULL tuple, allocating the NULL code on first use.
+func (ix *Index[V]) appendNull() {
+	ix.enableNull()
 	ix.appendCode(ix.nullCode)
-	return nil
 }
 
-// appendNullQuiet is AppendNull without the append counter (see
-// appendValueQuiet).
-func (ix *Index[V]) appendNullQuiet() error {
-	if !ix.hasNullCode {
-		if err := ix.enableNull(); err != nil {
-			return err
-		}
+// codeFor returns v's code, first mapping v to a free code when it is new
+// to the domain.
+func (ix *Index[V]) codeFor(v V) (uint32, error) {
+	if code, ok := ix.mapping.CodeOf(v); ok {
+		return code, nil
 	}
-	ix.appendCodeQuiet(ix.nullCode)
-	return nil
+	code := ix.freeCode()
+	if err := ix.mapping.Add(v, code); err != nil {
+		return 0, err
+	}
+	// The new value consumed a free code, shrinking the don't-care set;
+	// memoized expressions may now cover it.
+	ix.invalidateCache()
+	return code, nil
 }
 
-// Delete voids a tuple by overwriting its code with 0 (Theorem 2.1's
+// voidRow voids a tuple by overwriting its code with 0 (Theorem 2.1's
 // convention), so subsequent selections skip it with no existence mask.
-func (ix *Index[V]) Delete(row int) error {
+func (ix *Index[V]) voidRow(row int) error {
 	if !ix.reserveVoid {
 		return fmt.Errorf("core: deletion requires the void-code reservation (Theorem 2.1)")
 	}
@@ -438,41 +401,10 @@ func (ix *Index[V]) Delete(row int) error {
 	return nil
 }
 
-// Update changes the value of an existing row in place by overwriting its
-// code — the per-tuple O(h) maintenance cost of Section 3.1. The new
-// value may expand the domain (both Figure 2 cases apply).
-func (ix *Index[V]) Update(row int, v V) error {
-	if row < 0 || row >= ix.n {
-		return fmt.Errorf("core: row %d out of range [0,%d)", row, ix.n)
-	}
-	code, ok := ix.mapping.CodeOf(v)
-	if !ok {
-		free := ix.freeValueCodes()
-		if len(free) == 0 {
-			ix.widen()
-			free = ix.freeValueCodes()
-		}
-		code = free[0]
-		if err := ix.mapping.Add(v, code); err != nil {
-			return err
-		}
-		ix.invalidateCache()
-	}
-	wasVoid := ix.CodeAt(row) == 0
-	for i, vec := range ix.vectors {
-		vec.SetTo(row, code&(1<<uint(i)) != 0)
-	}
-	if ix.reserveVoid && wasVoid && ix.deleted > 0 {
-		ix.deleted--
-	}
-	return nil
-}
-
 // dcCache memoizes an index's don't-care set for one code-space
-// generation. Every index gets its own when it is built, loaded, cloned
-// for publication, materialized or re-encoded. Readers of a published
-// snapshot may fill it concurrently: each computes the same set and the
-// last store wins.
+// generation. Every index gets its own from derive. Concurrent readers
+// may fill it at once: each computes the same set and the last store
+// wins.
 type dcCache struct{ cur atomic.Pointer[dcSet] }
 
 type dcSet struct {

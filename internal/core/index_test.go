@@ -93,13 +93,14 @@ func TestEqUnknownAndEmptyIn(t *testing.T) {
 // Figure 2(a): appending d to domain {a,b,c} keeps k=2 and assigns the
 // free code 11.
 func TestFigure2aDomainExpansionNoNewVector(t *testing.T) {
-	ix, err := Build(figure1Column(), nil, figure1Options())
+	s, err := BuildSynced(figure1Column(), nil, figure1Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Append("d"); err != nil {
+	if err := s.Append("d"); err != nil {
 		t.Fatal(err)
 	}
+	ix := snapshot(s)
 	if ix.K() != 2 {
 		t.Fatalf("K = %d after appending d, want 2 (no new vector)", ix.K())
 	}
@@ -122,16 +123,17 @@ func TestFigure2aDomainExpansionNoNewVector(t *testing.T) {
 // Figure 2(b): appending e after d exhausts the 2-bit space, adds vector
 // B2, and revises the retrieval functions by ANDing B2'.
 func TestFigure2bDomainExpansionNewVector(t *testing.T) {
-	ix, err := Build(figure1Column(), nil, figure1Options())
+	s, err := BuildSynced(figure1Column(), nil, figure1Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Append("d"); err != nil {
+	if err := s.Append("d"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Append("e"); err != nil {
+	if err := s.Append("e"); err != nil {
 		t.Fatal(err)
 	}
+	ix := snapshot(s)
 	if ix.K() != 3 {
 		t.Fatalf("K = %d after appending e, want 3", ix.K())
 	}
@@ -164,20 +166,21 @@ func TestFigure2bDomainExpansionNewVector(t *testing.T) {
 // existence mask — deleted rows simply never match.
 func TestTheorem21VoidZero(t *testing.T) {
 	col := []string{"x", "y", "z", "x", "y", "z", "x"}
-	ix, err := Build(col, nil, nil) // defaults: void reserved
+	s, err := BuildSynced(col, nil, nil) // defaults: void reserved
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Code 0 must be unassigned.
-	if _, taken := ix.Mapping().ValueOf(0); taken {
+	if _, taken := s.Mapping().ValueOf(0); taken {
 		t.Fatal("code 0 should be reserved for void tuples")
 	}
-	if err := ix.Delete(0); err != nil {
+	if err := s.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Delete(4); err != nil {
+	if err := s.Delete(4); err != nil {
 		t.Fatal(err)
 	}
+	ix := snapshot(s)
 	rows, _ := ix.Eq("x")
 	if rows.String() != "0001001" {
 		t.Errorf("Eq(x) after deletes = %s, want 0001001", rows.String())
@@ -199,11 +202,11 @@ func TestTheorem21VoidZero(t *testing.T) {
 }
 
 func TestDeleteRequiresVoidReserve(t *testing.T) {
-	ix, _ := Build(figure1Column(), nil, figure1Options())
+	ix, _ := BuildSynced(figure1Column(), nil, figure1Options())
 	if err := ix.Delete(0); err == nil {
 		t.Fatal("Delete without void reservation should error")
 	}
-	ix2, _ := Build(figure1Column(), nil, nil)
+	ix2, _ := BuildSynced(figure1Column(), nil, nil)
 	if err := ix2.Delete(-1); err == nil {
 		t.Fatal("out-of-range Delete should error")
 	}
@@ -278,14 +281,17 @@ func TestDecodeRowAndCodeAt(t *testing.T) {
 			t.Fatalf("DecodeRow(%d) = %v,%v,%v", i, v, isNull, ok)
 		}
 	}
-	_ = ix.Delete(1)
+	s := NewSynced(ix)
+	_ = s.Delete(1)
+	ix = snapshot(s)
 	if _, _, ok := ix.DecodeRow(1); ok {
 		t.Fatal("voided row should not decode")
 	}
 	if ix.CodeAt(1) != 0 {
 		t.Fatal("voided row code should be 0")
 	}
-	_ = ix.AppendNull()
+	_ = s.AppendNull()
+	ix = snapshot(s)
 	v, isNull, ok := ix.DecodeRow(3)
 	if ok || !isNull {
 		t.Fatalf("NULL row DecodeRow = %v,%v,%v", v, isNull, ok)
@@ -293,21 +299,21 @@ func TestDecodeRowAndCodeAt(t *testing.T) {
 }
 
 func TestEmptyDomainGrowsFromNothing(t *testing.T) {
-	ix, err := New[string](nil, nil)
+	s, err := BuildSynced[string](nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Append("first"); err != nil {
+	if err := s.Append("first"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Append("second"); err != nil {
+	if err := s.Append("second"); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := ix.Eq("second")
+	rows, _ := s.Eq("second")
 	if rows.String() != "01" {
 		t.Fatalf("Eq(second) = %s", rows.String())
 	}
-	if err := ix.CheckInvariants(); err != nil {
+	if err := snapshot(s).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,7 +324,7 @@ func TestProductsExampleVectorCount(t *testing.T) {
 	for i := 0; i < 12000; i++ {
 		domain = append(domain, i)
 	}
-	ix, err := New(domain, &Options[int]{DisableVoidReserve: true})
+	ix, err := Build(domain, nil, &Options[int]{DisableVoidReserve: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,18 +344,19 @@ func TestPropQueriesMatchScanWithDeletes(t *testing.T) {
 		for i := range col {
 			col[i] = r.Intn(m)
 		}
-		ix, err := Build(col, nil, nil)
+		s, err := BuildSynced(col, nil, nil)
 		if err != nil {
 			return false
 		}
 		deleted := make(map[int]bool)
 		for d := 0; d < n/10; d++ {
 			row := r.Intn(n)
-			if ix.Delete(row) != nil {
+			if s.Delete(row) != nil {
 				return false
 			}
 			deleted[row] = true
 		}
+		ix := snapshot(s)
 		if ix.CheckInvariants() != nil {
 			return false
 		}
@@ -401,15 +408,17 @@ func TestPropIncrementalEqualsBulk(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inc, err := New[int](nil, nil)
+		s, err := BuildSynced[int](nil, nil, nil)
 		if err != nil {
 			return false
 		}
+		s.SetFoldThreshold(1 + r.Intn(64))
 		for _, v := range col {
-			if inc.Append(v) != nil {
+			if s.Append(v) != nil {
 				return false
 			}
 		}
+		inc := snapshot(s)
 		if inc.CheckInvariants() != nil || bulk.CheckInvariants() != nil {
 			return false
 		}

@@ -15,18 +15,12 @@ import (
 // code space could read for a selection of that width, so
 // st.VectorsRead - minVectors is the evaluation's encoding-inefficiency
 // ("excess access"). The bound is precomputed by the index so the
-// observer never needs to call back in — implementations stay safe
-// under Synced's shared lock. Implementations must be safe for
+// observer never needs to call back in. Install one with
+// Synced.SetSelectionObserver; implementations must be safe for
 // concurrent use.
 type SelectionObserver[V comparable] interface {
 	ObserveSelection(values []V, st iostat.Stats, minVectors int)
 }
-
-// SetSelectionObserver installs (or, with nil, removes) the selection
-// observer. Like the index's other mutators it must not race with
-// readers; wrap the index in a Synced or install the observer before
-// queries start.
-func (ix *Index[V]) SetSelectionObserver(o SelectionObserver[V]) { ix.observer = o }
 
 // TheoreticalMinVectors returns the smallest number of bitmap vectors
 // any encoding over this index's k-bit code space could read to answer

@@ -86,7 +86,7 @@ func TestTheoreticalMinVectors(t *testing.T) {
 
 func TestSelectionObserverHooks(t *testing.T) {
 	column := []int{0, 1, 2, 3, 4, 5, 6, 7, 1, 2}
-	ix := buildPlain(t, column)
+	ix := NewSynced(buildPlain(t, column))
 	obs := &captureObserver{}
 	ix.SetSelectionObserver(obs)
 

@@ -68,14 +68,12 @@ func BuildOrdered[V cmp.Ordered](column []V, favored [][]V, searchOpt *encoding.
 		}
 	}
 
-	ix, err := New(domain, &Options[V]{Mapping: mapping})
+	ix, err := newIndex(domain, &Options[V]{Mapping: mapping})
 	if err != nil {
 		return nil, err
 	}
-	for _, v := range column {
-		if err := ix.Append(v); err != nil {
-			return nil, err
-		}
+	if err := ix.appendColumn(column, nil); err != nil {
+		return nil, err
 	}
 	return &OrderedIndex[V]{ix: ix, sorted: domain}, nil
 }

@@ -40,10 +40,14 @@ func TestOrderedMinMaxSkipsVoidAndNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oi.Index().Delete(1); err != nil { // removes the 9
+	s := NewSynced(oi.Index())
+	if err := s.Delete(1); err != nil { // removes the 9
 		t.Fatal(err)
 	}
-	if err := oi.Index().AppendNull(); err != nil {
+	if err := s.AppendNull(); err != nil {
+		t.Fatal(err)
+	}
+	if oi, err = OrderedFrom(snapshot(s)); err != nil {
 		t.Fatal(err)
 	}
 	all := oi.Index().vectors[0].Clone()
@@ -97,13 +101,17 @@ func TestPropOrderedMinMaxMatchScan(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		s := NewSynced(oi.Index())
 		deleted := map[int]bool{}
 		for d := 0; d < n/10; d++ {
 			row := r.Intn(n)
-			if oi.Index().Delete(row) != nil {
+			if s.Delete(row) != nil {
 				return false
 			}
 			deleted[row] = true
+		}
+		if oi, err = OrderedFrom(snapshot(s)); err != nil {
+			return false
 		}
 		lo, hi := r.Intn(m), r.Intn(m)
 		if lo > hi {
@@ -131,95 +139,6 @@ func TestPropOrderedMinMaxMatchScan(t *testing.T) {
 		return okMax && okMin && gotMax == wantMax && gotMin == wantMin
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	ix, err := Build([]string{"a", "b", "c"}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Update(1, "a"); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := ix.Eq("a")
-	if rows.String() != "110" {
-		t.Fatalf("after update Eq(a) = %s", rows.String())
-	}
-	// Update to a brand-new value (domain expansion).
-	if err := ix.Update(2, "zzz"); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ = ix.Eq("zzz")
-	if rows.String() != "001" {
-		t.Fatalf("Eq(zzz) = %s", rows.String())
-	}
-	rows, _ = ix.Eq("c")
-	if rows.Any() {
-		t.Fatal("old value still matched after update")
-	}
-	// Updating a voided row revives it.
-	if err := ix.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Deleted() != 1 {
-		t.Fatal("Deleted count wrong")
-	}
-	if err := ix.Update(0, "b"); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Deleted() != 0 {
-		t.Fatalf("Deleted = %d after revival", ix.Deleted())
-	}
-	rows, _ = ix.Eq("b")
-	if !rows.Get(0) {
-		t.Fatal("revived row not selectable")
-	}
-	if err := ix.Update(-1, "a"); err == nil {
-		t.Fatal("out-of-range update should error")
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Update(row, v) is equivalent to rebuilding with the column
-// mutated.
-func TestPropUpdateMatchesRebuild(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(150)
-		col := make([]int, n)
-		for i := range col {
-			col[i] = r.Intn(10)
-		}
-		ix, err := Build(col, nil, nil)
-		if err != nil {
-			return false
-		}
-		for step := 0; step < 20; step++ {
-			row := r.Intn(n)
-			v := r.Intn(15) // may expand the domain
-			if ix.Update(row, v) != nil {
-				return false
-			}
-			col[row] = v
-		}
-		if ix.CheckInvariants() != nil {
-			return false
-		}
-		for v := 0; v < 15; v++ {
-			rows, _ := ix.Eq(v)
-			for i, x := range col {
-				if rows.Get(i) != (x == v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

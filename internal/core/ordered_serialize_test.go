@@ -15,7 +15,11 @@ func TestSaveLoadOrderedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oi.Index().Delete(0); err != nil {
+	s := NewSynced(oi.Index())
+	if err := s.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	if oi, err = OrderedFrom(snapshot(s)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

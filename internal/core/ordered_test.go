@@ -67,10 +67,14 @@ func TestOrderedRangeSkipsVoidAndNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oi.Index().Delete(1); err != nil { // void row holding 101
+	s := NewSynced(oi.Index())
+	if err := s.Delete(1); err != nil { // void row holding 101
 		t.Fatal(err)
 	}
-	if err := oi.Index().AppendNull(); err != nil {
+	if err := s.AppendNull(); err != nil {
+		t.Fatal(err)
+	}
+	if oi, err = OrderedFrom(snapshot(s)); err != nil {
 		t.Fatal(err)
 	}
 	rows, _ := oi.Range(101, 106)

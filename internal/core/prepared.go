@@ -18,13 +18,13 @@ import (
 // computed once ("be reduced by human experts, and be verified with
 // assistance of computers", Section 3.2) and reused.
 //
-// A Prepared transparently recompiles itself when the code space or
-// don't-care set has changed since compilation (domain expansion,
-// widening, NULL-code allocation) — including across live re-encoding
-// flips, where the same values name different codes.
+// A Prepared bound to a Synced index transparently recompiles itself when
+// the code space or don't-care set has changed since compilation (domain
+// expansion, widening, NULL-code allocation) — including across live
+// re-encoding flips, where the same values name different codes. One
+// bound to an Index never sees a change.
 type Prepared[V comparable] struct {
-	ix     *Index[V]  // bound Index, or nil
-	s      *Synced[V] // bound Synced, or nil
+	load   func() *epochState[V] // the bound handle's current read state
 	values []V
 
 	mu       sync.Mutex
@@ -44,15 +44,16 @@ type compiledSel struct {
 
 // Prepare compiles the selection "A IN values".
 func (ix *Index[V]) Prepare(values []V) *Prepared[V] {
-	p := &Prepared[V]{ix: ix, values: append([]V(nil), values...)}
-	p.compile(ix.view())
+	st := ix.view()
+	p := &Prepared[V]{load: func() *epochState[V] { return st }, values: append([]V(nil), values...)}
+	p.compile(st)
 	return p
 }
 
 // Prepare binds the selection "A IN values" to the live state; it
 // compiles on first evaluation.
 func (s *Synced[V]) Prepare(values []V) *Prepared[V] {
-	return &Prepared[V]{s: s, values: append([]V(nil), values...)}
+	return &Prepared[V]{load: s.state.Load, values: append([]V(nil), values...)}
 }
 
 func (p *Prepared[V]) compile(st *epochState[V]) {
@@ -63,24 +64,15 @@ func (p *Prepared[V]) compile(st *epochState[V]) {
 	p.compiled = true
 }
 
-// load returns a copy of the bound handle's current read state (a copy,
-// so an Index's state needs no allocation).
-func (p *Prepared[V]) load() epochState[V] {
-	if p.s != nil {
-		return *p.s.state.Load()
-	}
-	return *p.ix.view()
-}
-
 // program loads the current state and returns the compilation matching
 // its generation, recompiling if stale.
-func (p *Prepared[V]) program() (epochState[V], compiledSel) {
+func (p *Prepared[V]) program() (*epochState[V], compiledSel) {
 	st := p.load()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	switch {
 	case !p.compiled:
-		p.compile(&st)
+		p.compile(st)
 	case p.gen != st.encGen:
 		mPreparedRecompiles.Inc()
 		if lg := obs.DefaultLogger(); lg.Enabled(obs.LevelDebug) {
@@ -89,7 +81,7 @@ func (p *Prepared[V]) program() (epochState[V], compiledSel) {
 				obs.Int("stale_generation", int64(p.gen)),
 				obs.Int("generation", int64(st.encGen)))
 		}
-		p.compile(&st)
+		p.compile(st)
 	default:
 		mProgCacheHits.Inc()
 	}
@@ -117,10 +109,10 @@ func (p *Prepared[V]) Eval() (*bitvec.Vector, iostat.Stats) {
 // Index dst must have length Len(); on a Synced index it behaves like
 // Synced.EqInto.
 func (p *Prepared[V]) EvalInto(dst *bitvec.Vector) iostat.Stats {
-	if p.ix != nil && dst.Len() != p.ix.n {
-		panic(fmt.Sprintf("core: EvalInto destination has %d bits, index %d", dst.Len(), p.ix.n))
-	}
 	st, sel := p.program()
+	if st.epoch == 0 && dst.Len() != st.ix.n {
+		panic(fmt.Sprintf("core: EvalInto destination has %d bits, index %d", dst.Len(), st.ix.n))
+	}
 	stats := st.runInto(sel.prog, sel.codes, dst)
 	st.ix.observeSelection(p.values, stats)
 	return stats

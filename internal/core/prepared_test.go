@@ -28,7 +28,7 @@ func TestPreparedMatchesIn(t *testing.T) {
 }
 
 func TestPreparedRecompilesAfterExpansion(t *testing.T) {
-	ix, err := Build([]string{"a", "b", "c"}, nil, nil)
+	ix, err := BuildSynced([]string{"a", "b", "c"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +64,11 @@ func TestPreparedRecompilesAfterExpansion(t *testing.T) {
 func TestPropPreparedTracksIndex(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		ix, err := Build([]int{0, 1, 2, 3}, nil, nil)
+		ix, err := BuildSynced([]int{0, 1, 2, 3}, nil, nil)
 		if err != nil {
 			return false
 		}
+		ix.SetFoldThreshold(1 + r.Intn(8))
 		sel := []int{0, 2}
 		p := ix.Prepare(sel)
 		for step := 0; step < 30; step++ {

@@ -37,26 +37,22 @@ func BuildRangeIndex(column []int64, lo, hi int64, preds []encoding.Interval, se
 	if err != nil {
 		return nil, err
 	}
-	ix, err := New(parts, &Options[encoding.Interval]{Mapping: mapping})
+	ix, err := newIndex(parts, &Options[encoding.Interval]{Mapping: mapping})
 	if err != nil {
 		return nil, err
 	}
-	ri := &RangeIndex{ix: ix, parts: parts, lo: lo, hi: hi}
-	for _, v := range column {
-		if err := ri.Append(v); err != nil {
-			return nil, err
+	rows := make([]encoding.Interval, len(column))
+	for i, v := range column {
+		part, ok := encoding.IntervalFor(parts, v)
+		if !ok {
+			return nil, fmt.Errorf("core: value %d outside indexed domain [%d,%d)", v, lo, hi)
 		}
+		rows[i] = part
 	}
-	return ri, nil
-}
-
-// Append adds a row, encoding the value into its partition.
-func (ri *RangeIndex) Append(v int64) error {
-	part, ok := encoding.IntervalFor(ri.parts, v)
-	if !ok {
-		return fmt.Errorf("core: value %d outside indexed domain [%d,%d)", v, ri.lo, ri.hi)
+	if err := ix.appendColumn(rows, nil); err != nil {
+		return nil, err
 	}
-	return ri.ix.Append(part)
+	return &RangeIndex{ix: ix, parts: parts, lo: lo, hi: hi}, nil
 }
 
 // Len returns the number of rows.

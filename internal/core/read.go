@@ -62,15 +62,6 @@ func (ix *Index[V]) view() *epochState[V] {
 	return &epochState[V]{ix: ix, encGen: ix.generation}
 }
 
-// cache returns the index's program cache, creating it on first use
-// (Index.Eq is not safe for concurrent use, so this needs no lock).
-func (ix *Index[V]) cache() *progCache {
-	if ix.progs == nil {
-		ix.progs = new(progCache)
-	}
-	return ix.progs
-}
-
 // len returns the state's logical row count.
 func (st *epochState[V]) len() int { return st.ix.n + st.tailLen }
 
@@ -127,7 +118,7 @@ func (ix *Index[V]) evalProgramInto(p *boolmin.Program, dst *bitvec.Vector) iost
 	if ix.reserveVoid {
 		mVoidSkips.Inc()
 	}
-	return statsOf(p.EvalInto(dst, ix.sources()))
+	return statsOf(p.EvalInto(dst, ix.srcs))
 }
 
 // evalProgramParallel is evalProgram with segmented parallel evaluation
@@ -150,17 +141,6 @@ func (ix *Index[V]) evalProgramParallel(p *boolmin.Program, degree int, sp *obs.
 
 func statsOf(res boolmin.EvalResult) iostat.Stats {
 	return iostat.Stats{VectorsRead: res.VectorsRead, WordsRead: res.WordsRead, BoolOps: res.Ops}
-}
-
-// sources returns the vectors as fused-kernel operands. The slice is
-// maintained eagerly by rebuildSources; the lazy refresh below only fires
-// for hand-assembled indexes outside the exported constructors and is
-// never reached on a published Synced snapshot.
-func (ix *Index[V]) sources() []bitvec.WordSource {
-	if len(ix.srcs) != len(ix.vectors) {
-		ix.rebuildSources()
-	}
-	return ix.srcs
 }
 
 // extendTail grows a base-snapshot result vector across the state's tail,
@@ -316,6 +296,12 @@ func (st *epochState[V]) existing() (*bitvec.Vector, iostat.Stats) {
 		if nulls.Len() != ix.n {
 			nulls = bitvec.New(ix.n)
 		}
+		if !ix.reserveVoid {
+			// The OR loop did not run, so the NULL min-term's reads are
+			// the only ones.
+			stats.VectorsRead += res.VectorsRead
+			stats.WordsRead += res.WordsRead
+		}
 		stats.BoolOps += res.Ops + 1
 		acc.AndNot(nulls)
 	}
@@ -360,7 +346,7 @@ func (st *epochState[V]) predictGen() uint64 {
 // don't-care codes let the min-term shed literals. The compiled program
 // is memoized per code.
 func (ix *Index[V]) Eq(v V) (*bitvec.Vector, iostat.Stats) {
-	return ix.view().eq(ix.cache(), v)
+	return ix.view().eq(ix.progs, v)
 }
 
 // EqInto is Eq with a caller-provided destination: dst (length Len(),
@@ -371,7 +357,7 @@ func (ix *Index[V]) EqInto(v V, dst *bitvec.Vector) iostat.Stats {
 	if dst.Len() != ix.n {
 		panic(fmt.Sprintf("core: EqInto destination has %d bits, index %d", dst.Len(), ix.n))
 	}
-	return ix.view().eqInto(ix.cache(), v, dst)
+	return ix.view().eqInto(ix.progs, v, dst)
 }
 
 // In returns the rows where the attribute is in the value list, evaluating

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bitvec"
 	"repro/internal/encoding"
-	"repro/internal/obs"
 )
 
 // This file implements the paper's third piece of future work: "a model
@@ -93,41 +91,12 @@ func (ix *Index[V]) workloadCost(m *encoding.Mapping[V], predicates [][]V, weigh
 	return encoding.WeightedCost(m, predicates, weights, ix.useDC, ix.reserveVoid)
 }
 
-// Reencode rebuilds the index's vectors under the new mapping in one
-// O(n·k) pass. The mapping must cover every currently mapped value, keep
-// code 0 free when the index reserves it, and leave room for the NULL
-// code. Row contents (including voids and NULLs) are preserved exactly.
-func (ix *Index[V]) Reencode(newMapping *encoding.Mapping[V]) (err error) {
-	_, sp := obs.StartSpan(context.Background(), "ebi.core.reencode")
-	if sp != nil {
-		sp.SetAttr("rows", ix.n)
-		sp.SetAttr("old_k", ix.K())
-		sp.SetAttr("new_k", newMapping.K())
-		defer func() {
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
-	nix, err := ix.reencodedCopy(newMapping)
-	if err != nil {
-		return err
-	}
-	ix.mapping = nix.mapping
-	ix.vectors = nix.vectors
-	ix.hasNullCode = nix.hasNullCode
-	ix.nullCode = nix.nullCode
-	ix.rebuildSources()
-	ix.invalidateCache()
-	mReencodes.Inc()
-	return nil
-}
-
-// reencodedCopy builds a fully private copy of the index re-encoded under
-// the new mapping, leaving the receiver untouched — the shadow-rebuild
-// half of a live re-encoding (Synced.Reencode) and the engine behind the
-// in-place Reencode. Validation matches Reencode's contract: the mapping
-// must cover every mapped value, keep code 0 free when reserved, and
-// leave a free code for NULL when the index carries one.
+// reencodedCopy builds a private copy of the index re-encoded under the
+// new mapping in one O(n·k) pass, leaving the receiver untouched — the
+// shadow-rebuild half of a live re-encoding (Synced.Reencode). The
+// mapping must cover every mapped value, keep code 0 free when reserved,
+// and leave a free code for NULL when the index carries one. Row contents
+// (including voids and NULLs) are preserved exactly.
 func (ix *Index[V]) reencodedCopy(newMapping *encoding.Mapping[V]) (*Index[V], error) {
 	nm := newMapping.Clone()
 	// Validate coverage.
@@ -150,15 +119,7 @@ func (ix *Index[V]) reencodedCopy(newMapping *encoding.Mapping[V]) (*Index[V], e
 		newC, _ := nm.CodeOf(v)
 		trans[oldC] = newC
 	}
-	nix := &Index[V]{
-		mapping:     nm,
-		n:           ix.n,
-		dcs:         new(dcCache),
-		reserveVoid: ix.reserveVoid,
-		useDC:       ix.useDC,
-		hasNullCode: ix.hasNullCode,
-		deleted:     ix.deleted,
-	}
+	nullCode := ix.nullCode
 	if ix.hasNullCode {
 		// Re-pick a NULL code among the new mapping's free codes.
 		found := false
@@ -166,14 +127,14 @@ func (ix *Index[V]) reencodedCopy(newMapping *encoding.Mapping[V]) (*Index[V], e
 			if ix.reserveVoid && c == 0 {
 				continue
 			}
-			nix.nullCode = c
+			nullCode = c
 			found = true
 			break
 		}
 		if !found {
 			return nil, fmt.Errorf("core: new mapping leaves no free code for NULL")
 		}
-		trans[ix.nullCode] = nix.nullCode
+		trans[ix.nullCode] = nullCode
 	}
 	if ix.reserveVoid {
 		trans[0] = 0
@@ -196,16 +157,16 @@ func (ix *Index[V]) reencodedCopy(newMapping *encoding.Mapping[V]) (*Index[V], e
 			}
 		}
 	}
-	nix.vectors = rebuilt
-	nix.rebuildSources()
+	nix := ix.derive(nm, rebuilt)
+	nix.nullCode = nullCode
 	return nix, nil
 }
 
 // OptimizeFor is the convenience composition: plan a re-encoding for the
-// workload and apply it if it pays off within maxBreakEven workload
+// workload and apply it live if it pays off within maxBreakEven workload
 // evaluations. It reports whether a re-encoding was applied.
-func (ix *Index[V]) OptimizeFor(predicates [][]V, weights []int, maxBreakEven int, searchOpt *encoding.SearchOptions) (bool, *ReencodePlan[V], error) {
-	plan, err := ix.PlanReencode(predicates, weights, searchOpt)
+func (s *Synced[V]) OptimizeFor(predicates [][]V, weights []int, maxBreakEven int, searchOpt *encoding.SearchOptions) (bool, *ReencodePlan[V], error) {
+	plan, err := s.PlanReencode(predicates, weights, searchOpt)
 	if err != nil {
 		return false, nil, err
 	}
@@ -213,7 +174,7 @@ func (ix *Index[V]) OptimizeFor(predicates [][]V, weights []int, maxBreakEven in
 	if be < 0 || (maxBreakEven > 0 && be > maxBreakEven) {
 		return false, plan, nil
 	}
-	if err := ix.Reencode(plan.Mapping); err != nil {
+	if err := s.Reencode(plan.Mapping); err != nil {
 		return false, plan, err
 	}
 	return true, plan, nil

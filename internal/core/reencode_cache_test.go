@@ -23,37 +23,46 @@ func swappedMapping(t *testing.T, m *encoding.Mapping[string], a, b string) *enc
 
 // TestIndexEqCacheInvalidatedOnReencode pins the regression the live
 // swap made dangerous: Index.Eq memoizes compiled per-code programs, so
-// a re-encoding that reassigns codes must drop them — otherwise the
-// next Eq evaluates the OLD code's program against the NEW vectors and
-// returns the wrong rows.
+// a re-encoding that reassigns codes must never let the next Eq evaluate
+// the OLD code's program against the NEW vectors. A re-encoding publishes
+// a new snapshot with a cache of its own; the old snapshot, its warm
+// cache and its answers stay as they were.
 func TestIndexEqCacheInvalidatedOnReencode(t *testing.T) {
 	column := []string{"a", "b", "a", "c", "b", "a"}
-	ix, err := Build(column, nil, nil)
+	s, err := BuildSynced(column, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	old := snapshot(s)
 
 	// Warm the per-code cache for every value.
-	wantA, _ := ix.Eq("a")
-	wantB, _ := ix.Eq("b")
+	wantA, _ := old.Eq("a")
+	wantB, _ := old.Eq("b")
 	if wantA.Count() != 3 || wantB.Count() != 2 {
 		t.Fatalf("pre-swap counts: a=%d b=%d", wantA.Count(), wantB.Count())
 	}
 
-	if err := ix.Reencode(swappedMapping(t, ix.Mapping(), "a", "b")); err != nil {
+	if err := s.Reencode(swappedMapping(t, s.Mapping(), "a", "b")); err != nil {
 		t.Fatal(err)
 	}
 
-	gotA, _ := ix.Eq("a")
-	gotB, _ := ix.Eq("b")
-	if !gotA.Equal(wantA) {
-		t.Fatalf("post-swap Eq(a) selects %d rows, want the same %d rows as before", gotA.Count(), wantA.Count())
+	for _, ix := range []*Index[string]{snapshot(s), old} {
+		gotA, _ := ix.Eq("a")
+		gotB, _ := ix.Eq("b")
+		if !gotA.Equal(wantA) {
+			t.Fatalf("post-swap Eq(a) selects %d rows, want the same %d rows as before", gotA.Count(), wantA.Count())
+		}
+		if !gotB.Equal(wantB) {
+			t.Fatalf("post-swap Eq(b) selects %d rows, want the same %d rows as before", gotB.Count(), wantB.Count())
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !gotB.Equal(wantB) {
-		t.Fatalf("post-swap Eq(b) selects %d rows, want the same %d rows as before", gotB.Count(), wantB.Count())
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	oldA, _ := old.Mapping().CodeOf("a")
+	newA, _ := s.Mapping().CodeOf("a")
+	if oldA == newA {
+		t.Fatal("re-encoding did not reassign a's code")
 	}
 }
 
@@ -158,56 +167,41 @@ func sameAsFreshMinimize(t *testing.T, stage string, ix *Index[string]) {
 // TestDontCaresFollowGeneration pins the per-generation don't-care set:
 // each stage reads it (so a stale set would be cached) before the next
 // one changes the code space — a widen, a NULL-code allocation, a
-// domain expansion into a free code and a re-encoding, on a plain index
-// and on a Synced index's published snapshots.
+// domain expansion into a free code and a re-encoding, on a Synced
+// index's published snapshots, both with the tail outstanding and folded
+// into a materialized base.
 func TestDontCaresFollowGeneration(t *testing.T) {
-	ix, err := Build([]string{"a", "b", "c"}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAsFreshMinimize(t, "build", ix)
-	if err := ix.Append("d"); err != nil { // code space full: widens
-		t.Fatal(err)
-	}
-	sameAsFreshMinimize(t, "widen", ix)
-	if err := ix.AppendNull(); err != nil {
-		t.Fatal(err)
-	}
-	sameAsFreshMinimize(t, "null code", ix)
-	if err := ix.Append("e"); err != nil { // reuses a free code
-		t.Fatal(err)
-	}
-	sameAsFreshMinimize(t, "domain expansion", ix)
 	nm := encoding.NewMapping[string](3)
 	for i, v := range []string{"a", "b", "c", "d", "e"} {
 		nm.MustAdd(v, uint32(7-i))
 	}
-	if err := ix.Reencode(nm); err != nil {
-		t.Fatal(err)
-	}
-	sameAsFreshMinimize(t, "reencode", ix)
-
-	s, err := BuildSynced([]string{"a", "b", "c"}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot := func(stage string) {
-		t.Helper()
-		sameAsFreshMinimize(t, "synced "+stage, s.state.Load().ix)
-	}
-	snapshot("build")
-	for _, step := range []struct {
-		stage string
-		apply func() error
-	}{
-		{"widen", func() error { return s.Append("d") }},
-		{"null code", s.AppendNull},
-		{"domain expansion", func() error { return s.Append("e") }},
-		{"reencode", func() error { return s.Reencode(nm) }},
-	} {
-		if err := step.apply(); err != nil {
+	for _, fold := range []bool{false, true} {
+		s, err := BuildSynced([]string{"a", "b", "c"}, nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		snapshot(step.stage)
+		check := func(stage string) {
+			t.Helper()
+			if fold {
+				s.Flush()
+				stage = "folded " + stage
+			}
+			sameAsFreshMinimize(t, stage, s.state.Load().ix)
+		}
+		check("build")
+		for _, step := range []struct {
+			stage string
+			apply func() error
+		}{
+			{"widen", func() error { return s.Append("d") }}, // code space full
+			{"null code", s.AppendNull},
+			{"domain expansion", func() error { return s.Append("e") }}, // reuses a free code
+			{"reencode", func() error { return s.Reencode(nm) }},
+		} {
+			if err := step.apply(); err != nil {
+				t.Fatal(err)
+			}
+			check(step.stage)
+		}
 	}
 }

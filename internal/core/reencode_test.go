@@ -18,7 +18,7 @@ func TestPlanReencodeImprovesScatteredWorkload(t *testing.T) {
 	for i := range column {
 		column[i] = r.Intn(m)
 	}
-	ix, err := Build(column, nil, nil)
+	ix, err := BuildSynced(column, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPlanReencodeImprovesScatteredWorkload(t *testing.T) {
 	if err := ix.Reencode(plan.Mapping); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.CheckInvariants(); err != nil {
+	if err := snapshot(ix).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	for v, want := range before {
@@ -98,7 +98,7 @@ func TestPlanReencodeValidation(t *testing.T) {
 }
 
 func TestReencodeValidation(t *testing.T) {
-	ix, _ := Build([]int{1, 2, 3}, nil, nil)
+	ix, _ := BuildSynced([]int{1, 2, 3}, nil, nil)
 	// Missing value.
 	bad := encoding.NewMapping[int](2)
 	bad.MustAdd(1, 1)
@@ -117,7 +117,7 @@ func TestReencodeValidation(t *testing.T) {
 }
 
 func TestReencodePreservesVoidsAndNulls(t *testing.T) {
-	ix, err := Build([]string{"a", "b", "c", "a"}, []bool{false, false, false, false}, &Options[string]{NullSupport: true})
+	ix, err := BuildSynced([]string{"a", "b", "c", "a"}, []bool{false, false, false, false}, &Options[string]{NullSupport: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,20 +139,20 @@ func TestReencodePreservesVoidsAndNulls(t *testing.T) {
 	if nulls.String() != "00001" {
 		t.Fatalf("nulls after reencode = %s", nulls.String())
 	}
-	if ix.CodeAt(1) != 0 {
+	if snapshot(ix).CodeAt(1) != 0 {
 		t.Fatal("void row lost its zero code")
 	}
 	rows, _ := ix.Eq("a")
 	if rows.String() != "10010" {
 		t.Fatalf("Eq(a) after reencode = %s", rows.String())
 	}
-	if err := ix.CheckInvariants(); err != nil {
+	if err := snapshot(ix).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReencodeNoRoomForNull(t *testing.T) {
-	ix, err := Build([]string{"a", "b", "c"}, nil, &Options[string]{NullSupport: true})
+	ix, err := BuildSynced([]string{"a", "b", "c"}, nil, &Options[string]{NullSupport: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestOptimizeFor(t *testing.T) {
 	for i := range column {
 		column[i] = i % 16
 	}
-	ix, err := Build(column, nil, nil)
+	ix, err := BuildSynced(column, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestOptimizeFor(t *testing.T) {
 	}
 	if applied {
 		// If applied, the index must still answer correctly.
-		if err := ix.CheckInvariants(); err != nil {
+		if err := snapshot(ix).CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		rows, _ := ix.Eq(perm[0])
@@ -202,8 +202,8 @@ func TestOptimizeFor(t *testing.T) {
 	}
 }
 
-// Property: Reencode to a random valid mapping is semantics-preserving
-// for every value, with voids intact.
+// Property: a live Reencode to a random valid mapping is
+// semantics-preserving for every value, with voids intact.
 func TestPropReencodeSemanticsPreserving(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -213,7 +213,7 @@ func TestPropReencodeSemanticsPreserving(t *testing.T) {
 		for i := range column {
 			column[i] = r.Intn(m)
 		}
-		ix, err := Build(column, nil, nil)
+		ix, err := BuildSynced(column, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -236,7 +236,7 @@ func TestPropReencodeSemanticsPreserving(t *testing.T) {
 		if err := ix.Reencode(nm); err != nil {
 			return false
 		}
-		if ix.CheckInvariants() != nil {
+		if snapshot(ix).CheckInvariants() != nil {
 			return false
 		}
 		v := r.Intn(m)

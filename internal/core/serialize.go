@@ -192,14 +192,13 @@ func Load[V comparable](r io.Reader, codec ValueCodec[V]) (*Index[V], error) {
 		return nil, err
 	}
 
-	ix := &Index[V]{
+	hdr := &Index[V]{
 		reserveVoid: flags&1 != 0,
 		useDC:       flags&2 != 0,
 		hasNullCode: flags&4 != 0,
 		nullCode:    nullCode,
 		deleted:     int(deleted),
 		n:           int(n64),
-		dcs:         new(dcCache),
 	}
 	count, err := rd.u32()
 	if err != nil {
@@ -230,20 +229,19 @@ func Load[V comparable](r io.Reader, codec ValueCodec[V]) (*Index[V], error) {
 			return nil, fmt.Errorf("core: mapping entry %d: %w", i, err)
 		}
 	}
-	ix.mapping = mapping
-	if ix.reserveVoid {
+	if hdr.reserveVoid {
 		if holder, taken := mapping.ValueOf(0); taken {
 			return nil, fmt.Errorf("core: file claims void reservation but code 0 maps %v", holder)
 		}
 	}
-	if ix.hasNullCode {
+	if hdr.hasNullCode {
 		if holder, taken := mapping.ValueOf(nullCode); taken {
 			return nil, fmt.Errorf("core: NULL code %d collides with value %v", nullCode, holder)
 		}
 	}
 
-	ix.vectors = make([]*bitvec.Vector, k)
-	for i := range ix.vectors {
+	vectors := make([]*bitvec.Vector, k)
+	for i := range vectors {
 		blen, err := rd.u32()
 		if err != nil {
 			return nil, err
@@ -256,15 +254,15 @@ func Load[V comparable](r io.Reader, codec ValueCodec[V]) (*Index[V], error) {
 		if err := v.UnmarshalBinary(blob); err != nil {
 			return nil, fmt.Errorf("core: vector %d: %w", i, err)
 		}
-		if v.Len() != ix.n {
-			return nil, fmt.Errorf("core: vector %d has %d bits, want %d", i, v.Len(), ix.n)
+		if v.Len() != hdr.n {
+			return nil, fmt.Errorf("core: vector %d has %d bits, want %d", i, v.Len(), hdr.n)
 		}
-		ix.vectors[i] = v
+		vectors[i] = v
 	}
-	ix.rebuildSources()
 	if rd.remaining() != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes in payload", rd.remaining())
 	}
+	ix := hdr.derive(mapping, vectors)
 	if err := ix.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("core: loaded index is inconsistent: %w", err)
 	}

@@ -10,13 +10,14 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	col := []string{"a", "b", "c", "a", "b"}
 	isNull := []bool{false, false, false, false, true}
-	ix, err := Build(col, isNull, nil)
+	s, err := BuildSynced(col, isNull, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Delete(0); err != nil {
+	if err := s.Delete(0); err != nil {
 		t.Fatal(err)
 	}
+	ix := snapshot(s)
 
 	var buf bytes.Buffer
 	if err := Save(&buf, ix, StringCodec{}); err != nil {
@@ -45,10 +46,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("IsNull differs after load")
 	}
 	// Loaded index stays maintainable.
-	if err := loaded.Append("zzz"); err != nil {
+	ls := NewSynced(loaded)
+	if err := ls.Append("zzz"); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.CheckInvariants(); err != nil {
+	if err := snapshot(ls).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,15 +140,16 @@ func TestPropSaveLoadIdentity(t *testing.T) {
 			col[i] = int64(r.Intn(25))
 			isNull[i] = r.Intn(12) == 0
 		}
-		ix, err := Build(col, isNull, nil)
+		s, err := BuildSynced(col, isNull, nil)
 		if err != nil {
 			return false
 		}
 		for d := 0; d < n/8; d++ {
-			if ix.Delete(r.Intn(n)) != nil {
+			if s.Delete(r.Intn(n)) != nil {
 				return false
 			}
 		}
+		ix := snapshot(s)
 		var buf bytes.Buffer
 		if err := Save(&buf, ix, Int64Codec{}); err != nil {
 			return false

@@ -198,7 +198,7 @@ func TestSyncedSwapStress(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Build(col2, nulls, &Options[int64]{Mapping: s.Mapping()})
+	fresh, err := BuildSynced(col2, nulls, &Options[int64]{Mapping: s.Mapping()})
 	if err != nil {
 		t.Fatal(err)
 	}

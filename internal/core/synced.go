@@ -11,10 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Synced is a concurrency-safe wrapper around an Index built on an
-// epoch/RCU scheme instead of a reader-writer lock: the current state —
-// an immutable base Index snapshot plus an append-only tail of encoded
-// codes — lives behind an atomic pointer. Readers load the pointer once
+// Synced is the mutable encoded bitmap index: the one handle that
+// appends, deletes and re-encodes. It is built on an epoch/RCU scheme
+// instead of a reader-writer lock: the current state — an immutable base
+// Index snapshot plus an append-only tail of encoded codes — lives behind
+// an atomic pointer. Readers load the pointer once
 // and evaluate entirely against that snapshot, so they never block and
 // never observe a torn write; writers publish a fresh state and the old
 // one is reclaimed by the garbage collector once the last reader drops
@@ -23,8 +24,8 @@ import (
 // Appends are O(1) publications: the code lands in the tail and readers
 // extend their snapshot evaluation across it. The tail is folded into
 // the base vectors in the background once it crosses the fold
-// threshold. Maintenance operations (Delete, WithWriteLock, Reencode)
-// rebuild a private copy and swap it in atomically; Reencode in
+// threshold. Maintenance operations (Delete, Reencode) rebuild a private
+// copy and swap it in atomically; Reencode in
 // particular runs the paper's dynamic re-encoding as a background
 // shadow rebuild with catch-up replay, so heavy read traffic runs
 // straight through a re-encoding with zero stalls.
@@ -40,7 +41,7 @@ type Synced[V comparable] struct {
 	// take it.
 	writeMu sync.Mutex
 	// maintMu serializes whole-index maintenance (tail folds, Delete,
-	// WithWriteLock, Reencode) so at most one rebuild runs at a time.
+	// Reencode) so at most one rebuild runs at a time.
 	// It is acquired before writeMu and never the other way around.
 	maintMu sync.Mutex
 
@@ -66,9 +67,8 @@ type Synced[V comparable] struct {
 // index, or a plain Index's view of itself (no tail). Every read
 // evaluates against one (read.go).
 type epochState[V comparable] struct {
-	// ix is the base snapshot. Its vectors, mapping, and flags are
-	// never mutated after publication; readers evaluate through the
-	// Synced's cache, never the snapshot's own.
+	// ix is the base snapshot. Synced reads go through the Synced's
+	// program cache, which outlives any one snapshot.
 	ix *Index[V]
 	// tail holds codes appended since ix was built, one uint64-padded
 	// k-bit code per row, in append order. Only [0, tailLen) is valid
@@ -76,7 +76,8 @@ type epochState[V comparable] struct {
 	tail    []uint64
 	tailLen int
 	// epoch counts re-encoding flips; it changes only when the live
-	// code assignment is swapped (Reencode).
+	// code assignment is swapped (Reencode). It starts at 1, so 0 marks
+	// a plain Index's view.
 	epoch uint64
 	// encGen counts code-space generations: any change to the mapping
 	// content, vector count, don't-care set, or NULL code bumps it.
@@ -96,11 +97,10 @@ const (
 	reencodeMaxRounds = 8
 )
 
-// NewSynced wraps an index. The caller must not use the wrapped index
-// directly afterwards.
+// NewSynced starts a mutable handle whose first snapshot is ix.
 func NewSynced[V comparable](ix *Index[V]) *Synced[V] {
 	s := &Synced[V]{foldThreshold: DefaultFoldThreshold}
-	s.state.Store(&epochState[V]{ix: publishableClone(ix), epoch: 1, encGen: 1})
+	s.state.Store(&epochState[V]{ix: ix, epoch: 1, encGen: 1})
 	return s
 }
 
@@ -126,72 +126,12 @@ func (s *Synced[V]) SetFoldThreshold(n int) {
 // bitvec's layout: the analytic WordsRead unit.
 func wordsFor(n int) int { return (n + 63) / 64 }
 
-// publishableClone shallow-copies an index into a form safe to publish as
-// an immutable snapshot: no memoized expression cache (Eq would mutate
-// it), a don't-care cache of its own (the clone's code space may change
-// before it is published) and a private fused-operand slice
-// (rebuildSources reuses backing arrays otherwise).
+// publishableClone returns a private copy of a published snapshot for a
+// writer to change and publish in its place. It owns its mapping and
+// slices; the vectors themselves stay shared, as no writer appends to a
+// published vector.
 func publishableClone[V comparable](ix *Index[V]) *Index[V] {
-	c := *ix
-	c.progs = nil
-	c.dcs = new(dcCache)
-	c.srcs = nil
-	c.rebuildSources()
-	return &c
-}
-
-// widenCopied is Index.widen for a clone that shares its vectors slice
-// with a published snapshot: the slice itself is replaced, never
-// appended to in place.
-func widenCopied[V comparable](c *Index[V]) {
-	mWidens.Inc()
-	newK := c.mapping.K() + 1
-	c.mapping = c.mapping.Widen(newK)
-	vecs := make([]*bitvec.Vector, 0, newK)
-	vecs = append(vecs, c.vectors...)
-	for len(vecs) < newK {
-		nv := bitvec.New(0)
-		nv.Grow(c.n)
-		vecs = append(vecs, nv)
-	}
-	c.vectors = vecs
-	c.srcs = nil
-	c.rebuildSources()
-}
-
-// expandedClone returns a publishable clone whose mapping additionally
-// covers v (domain expansion: free-code reuse or widening, Section 2.2),
-// along with v's code. The receiver snapshot is untouched.
-func expandedClone[V comparable](ix *Index[V], v V) (*Index[V], uint32, error) {
-	c := publishableClone(ix)
-	c.mapping = ix.mapping.Clone()
-	free := c.freeValueCodes()
-	if len(free) == 0 {
-		widenCopied(c)
-		free = c.freeValueCodes()
-	}
-	code := free[0]
-	if err := c.mapping.Add(v, code); err != nil {
-		return nil, 0, err
-	}
-	c.invalidateCache()
-	return c, code, nil
-}
-
-// nullEnabledClone returns a publishable clone with a NULL code
-// allocated, leaving the receiver snapshot untouched.
-func nullEnabledClone[V comparable](ix *Index[V]) *Index[V] {
-	c := publishableClone(ix)
-	c.mapping = ix.mapping.Clone()
-	free := c.freeValueCodes()
-	if len(free) == 0 {
-		widenCopied(c)
-		free = c.freeValueCodes()
-	}
-	c.nullCode = free[0]
-	c.hasNullCode = true
-	c.invalidateCache()
-	return c
+	return ix.derive(ix.mapping.Clone(), ix.vectors)
 }
 
 // Len returns the row count (base snapshot plus outstanding tail).
@@ -262,23 +202,25 @@ func (s *Synced[V]) pushTailLocked(st *epochState[V], ix *Index[V], code uint32,
 	})
 }
 
-// Append adds a tuple. A known value is an O(1) tail publication; an
-// unknown value additionally publishes a snapshot clone whose mapping
-// covers it (free-code reuse or widening, Section 2.2).
+// Append adds a tuple, handling both maintenance cases of Section 2.2.
+// A known value is an O(1) tail publication; an unknown value
+// additionally publishes a snapshot clone whose mapping covers it,
+// reusing a free code when ceil(log2 m) is unchanged (Figure 2a) and
+// widening the index by a new bitmap vector otherwise (Figure 2b).
 func (s *Synced[V]) Append(v V) error {
 	s.writeMu.Lock()
 	st := s.state.Load()
-	code, ok := st.ix.mapping.CodeOf(v)
-	if ok {
-		s.pushTailLocked(st, st.ix, code, st.encGen)
-	} else {
-		nix, ncode, err := expandedClone(st.ix, v)
-		if err != nil {
+	ix, encGen := st.ix, st.encGen
+	code, ok := ix.mapping.CodeOf(v)
+	if !ok {
+		ix, encGen = publishableClone(ix), encGen+1
+		var err error
+		if code, err = ix.codeFor(v); err != nil {
 			s.writeMu.Unlock()
 			return err
 		}
-		s.pushTailLocked(st, nix, ncode, st.encGen+1)
 	}
+	s.pushTailLocked(st, ix, code, encGen)
 	mAppends.Inc()
 	s.writeMu.Unlock()
 	s.maybeFold()
@@ -289,12 +231,12 @@ func (s *Synced[V]) Append(v V) error {
 func (s *Synced[V]) AppendNull() error {
 	s.writeMu.Lock()
 	st := s.state.Load()
-	if st.ix.hasNullCode {
-		s.pushTailLocked(st, st.ix, st.ix.nullCode, st.encGen)
-	} else {
-		nix := nullEnabledClone(st.ix)
-		s.pushTailLocked(st, nix, nix.nullCode, st.encGen+1)
+	ix, encGen := st.ix, st.encGen
+	if !ix.hasNullCode {
+		ix, encGen = publishableClone(ix), encGen+1
+		ix.enableNull()
 	}
+	s.pushTailLocked(st, ix, ix.nullCode, encGen)
 	mAppends.Inc()
 	s.writeMu.Unlock()
 	s.maybeFold()
@@ -329,124 +271,75 @@ func (s *Synced[V]) Flush() {
 // contents (base snapshot plus tail), with no counter side effects: the
 // rows were each counted once when they first landed.
 func materialize[V comparable](st *epochState[V]) *Index[V] {
-	src := st.ix
-	ix := &Index[V]{
-		mapping:     src.mapping.Clone(),
-		n:           src.n,
-		dcs:         new(dcCache),
-		reserveVoid: src.reserveVoid,
-		useDC:       src.useDC,
-		hasNullCode: src.hasNullCode,
-		nullCode:    src.nullCode,
-		deleted:     src.deleted,
-		observer:    src.observer,
+	vecs := make([]*bitvec.Vector, len(st.ix.vectors))
+	for i, v := range st.ix.vectors {
+		vecs[i] = v.Clone()
 	}
-	ix.vectors = make([]*bitvec.Vector, len(src.vectors))
-	for i, v := range src.vectors {
-		ix.vectors[i] = v.Clone()
-	}
+	ix := st.ix.derive(st.ix.mapping.Clone(), vecs)
 	for i := 0; i < st.tailLen; i++ {
-		ix.appendCodeQuiet(uint32(st.tail[i]))
+		ix.appendCode(uint32(st.tail[i]))
 	}
-	ix.rebuildSources()
 	return ix
 }
 
-// adoptShape brings a materialized private index up to cur's code space:
-// appends that landed after materialization started may have expanded
-// the domain, widened the index, or allocated the NULL code, and the
-// remainder of cur's tail is encoded under that newer mapping. Mappings
-// only grow between epochs, so adopting cur's mapping wholesale keeps
-// every already-replayed code valid.
-func adoptShape[V comparable](ix, cur *Index[V]) {
-	ix.mapping = cur.mapping.Clone()
-	ix.hasNullCode = cur.hasNullCode
-	ix.nullCode = cur.nullCode
-	ix.observer = cur.observer
-	for len(ix.vectors) < cur.K() {
-		nv := bitvec.New(0)
-		nv.Grow(ix.n)
-		ix.vectors = append(ix.vectors, nv)
-	}
-	ix.rebuildSources()
-	ix.invalidateCache()
-}
-
-// foldLocked materializes the current state and republishes it with an
-// empty tail. maintMu must be held; writeMu is taken only for the final
-// catch-up and flip, so appends overlap with the bulk copy.
-func (s *Synced[V]) foldLocked() {
+// privateCopyLocked materializes the live state into a private index,
+// then takes writeMu and brings the copy up to date: appends that landed
+// meanwhile may have expanded the domain, widened the index or allocated
+// the NULL code, and the rest of the tail is encoded under that newer
+// mapping. Mappings only grow between epochs, so adopting the current
+// one wholesale keeps every already-replayed code valid. maintMu must be
+// held; the caller unlocks writeMu after publishing (or dropping) the
+// copy, so appends overlap only with the bulk copy.
+func (s *Synced[V]) privateCopyLocked() (*Index[V], *epochState[V]) {
 	st := s.state.Load()
 	ix := materialize(st)
-	cursor := st.tailLen
 	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
 	cur := s.state.Load()
-	adoptShape(ix, cur.ix)
-	for ; cursor < cur.tailLen; cursor++ {
-		ix.appendCodeQuiet(uint32(cur.tail[cursor]))
+	ix.mapping = cur.ix.mapping.Clone()
+	ix.hasNullCode, ix.nullCode, ix.observer = cur.ix.hasNullCode, cur.ix.nullCode, cur.ix.observer
+	ix.fitVectors()
+	ix.invalidateCache()
+	for i := st.tailLen; i < cur.tailLen; i++ {
+		ix.appendCode(uint32(cur.tail[i]))
 	}
+	return ix, cur
+}
+
+// publishLocked publishes ix as the new base snapshot with an empty tail.
+// writeMu must be held.
+func (s *Synced[V]) publishLocked(ix *Index[V], epoch, encGen uint64) {
 	s.tailMaster = nil
-	s.state.Store(&epochState[V]{ix: ix, epoch: cur.epoch, encGen: cur.encGen})
+	s.state.Store(&epochState[V]{ix: ix, epoch: epoch, encGen: encGen})
+}
+
+// foldLocked republishes the live state with its tail folded into the
+// base vectors. maintMu must be held.
+func (s *Synced[V]) foldLocked() {
+	ix, cur := s.privateCopyLocked()
+	defer s.writeMu.Unlock()
+	s.publishLocked(ix, cur.epoch, cur.encGen)
 	mFolds.Inc()
 }
 
-// Delete voids a row. Like all maintenance it rebuilds privately and
-// flips: readers in flight keep the pre-delete state.
+// Delete voids a row: its code becomes 0 (Theorem 2.1's convention), so
+// selections skip it with no existence mask. Like all maintenance it
+// rebuilds privately and flips: readers in flight keep the pre-delete
+// state, and on error nothing is published.
 func (s *Synced[V]) Delete(row int) error {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	st := s.state.Load()
-	ix := materialize(st)
-	cursor := st.tailLen
-	s.writeMu.Lock()
+	ix, cur := s.privateCopyLocked()
 	defer s.writeMu.Unlock()
-	cur := s.state.Load()
-	adoptShape(ix, cur.ix)
-	for ; cursor < cur.tailLen; cursor++ {
-		ix.appendCodeQuiet(uint32(cur.tail[cursor]))
-	}
-	if err := ix.Delete(row); err != nil {
-		return err // nothing published; the live state is unchanged
-	}
-	s.tailMaster = nil
-	s.state.Store(&epochState[V]{ix: ix, epoch: cur.epoch, encGen: cur.encGen})
-	return nil
-}
-
-// WithWriteLock runs fn against a private, fully materialized copy of
-// the index and publishes the result if fn succeeds, for compound
-// maintenance (bulk loads, serialization of a consistent snapshot,
-// in-place re-encoding). Appends are blocked while fn runs; readers are
-// not. fn must not call back into the Synced wrapper. On error the
-// live state is unchanged.
-func (s *Synced[V]) WithWriteLock(fn func(ix *Index[V]) error) error {
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
-	st := s.state.Load()
-	ix := materialize(st)
-	cursor := st.tailLen
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	cur := s.state.Load()
-	adoptShape(ix, cur.ix)
-	for ; cursor < cur.tailLen; cursor++ {
-		ix.appendCodeQuiet(uint32(cur.tail[cursor]))
-	}
-	if err := fn(ix); err != nil {
+	if err := ix.voidRow(row); err != nil {
 		return err
 	}
-	// fn had free rein over the code space; treat the generation as
-	// changed so cached programs and prepared selections recompile.
-	s.tailMaster = nil
-	s.state.Store(&epochState[V]{ix: ix, epoch: cur.epoch, encGen: cur.encGen + 1})
+	s.publishLocked(ix, cur.epoch, cur.encGen)
 	return nil
 }
 
-// WithReadLock runs fn against a consistent read-only view. With no
-// outstanding tail that is the live snapshot itself (fn must not mutate
-// it or call Index.Eq/EqInto, which populate the memoized cache);
-// otherwise fn receives a private materialized copy.
+// WithReadLock runs fn against a consistent snapshot: the live base
+// snapshot when no tail is outstanding, otherwise a private materialized
+// copy. Either is an ordinary immutable Index.
 func (s *Synced[V]) WithReadLock(fn func(ix *Index[V]) error) error {
 	st := s.state.Load()
 	if st.tailLen == 0 {
@@ -462,13 +355,14 @@ func (s *Synced[V]) WithReadLock(fn func(ix *Index[V]) error) error {
 func (s *Synced[V]) replayTailCode(shadow *Index[V], cur *epochState[V], code uint32) error {
 	mCatchupReplays.Inc()
 	if cur.ix.hasNullCode && code == cur.ix.nullCode {
-		return shadow.appendNullQuiet()
+		shadow.appendNull()
+		return nil
 	}
 	v, ok := cur.ix.mapping.ValueOf(code)
 	if !ok {
 		return fmt.Errorf("core: tail code %b is not in the current mapping", code)
 	}
-	return shadow.appendValueQuiet(v)
+	return shadow.appendValue(v)
 }
 
 // Reencode applies a new encoding live: the base snapshot is rebuilt in
@@ -477,8 +371,9 @@ func (s *Synced[V]) replayTailCode(shadow *Index[V], cur *epochState[V], code ui
 // into the shadow in catch-up rounds, and once the outstanding tail is
 // short the epochs flip atomically — readers never stall, and the next
 // read after the flip runs under the new code assignment. The mapping
-// must satisfy Index.Reencode's contract (cover every mapped value,
-// keep code 0 free when reserved, leave room for NULL).
+// must cover every mapped value, keep code 0 free when reserved, and
+// leave room for NULL; row contents (voids and NULLs included) are
+// preserved exactly.
 func (s *Synced[V]) Reencode(newMapping *encoding.Mapping[V]) (err error) {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
@@ -535,8 +430,7 @@ func (s *Synced[V]) Reencode(newMapping *encoding.Mapping[V]) (err error) {
 		}
 	}
 	shadow.observer = cur.ix.observer
-	s.tailMaster = nil
-	s.state.Store(&epochState[V]{ix: shadow, epoch: cur.epoch + 1, encGen: cur.encGen + 1})
+	s.publishLocked(shadow, cur.epoch+1, cur.encGen+1)
 	mReencodes.Inc()
 	mSwaps.Inc()
 	return nil

@@ -129,7 +129,6 @@ func TestWatcherApplyWithoutReencoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder[int]("watch-apply-noop", 8, 16)
-	ix.SetSelectionObserver(rec)
 	w := NewWatcher[int](planOnlyView{ix}, rec, Config{Apply: true, ScoreThreshold: 0})
 	for i := 0; i < 8; i++ {
 		rec.ObserveSelection([]int{i}, istats(5), 1)

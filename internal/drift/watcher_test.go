@@ -151,7 +151,7 @@ func TestWatcherThresholdEventEdgeTriggered(t *testing.T) {
 	})
 
 	column := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	ix, err := core.Build(column, nil, &core.Options[int]{DisableVoidReserve: true, DisableDontCares: true})
+	ix, err := core.BuildSynced(column, nil, &core.Options[int]{DisableVoidReserve: true, DisableDontCares: true})
 	if err != nil {
 		t.Fatal(err)
 	}

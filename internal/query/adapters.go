@@ -10,71 +10,33 @@ import (
 	"repro/internal/table"
 )
 
-// SimpleInt adapts a simple bitmap index over int64 values.
-type SimpleInt struct{ Ix *simplebitmap.Index[int64] }
+// Simple adapts a simple bitmap index over int64 or string values.
+type Simple[V ebiValue] struct{ Ix *simplebitmap.Index[V] }
 
-// Eq implements ColumnIndex.
-func (a SimpleInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+// Eq implements ColumnIndex; Eq NULL selects the NULL rows.
+func (a Simple[V]) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	if v.Null {
 		rows, st := a.Ix.IsNull()
 		return rows, st, nil
 	}
-	rows, st := a.Ix.Eq(v.I)
+	rows, st := a.Ix.Eq(cellValue[V](v))
 	return rows, st, nil
 }
 
-// In implements ColumnIndex.
-func (a SimpleInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.In(vals)
+// In implements ColumnIndex; NULL cells select nothing.
+func (a Simple[V]) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+	rows, st := a.Ix.In(cellValues[V](vs))
 	return rows, st, nil
 }
 
 // Range ORs one vector per qualifying value: the paper's c_s = δ cost.
-func (a SimpleInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []int64
-	for _, v := range a.Ix.Values() {
-		if v >= lo && v <= hi {
-			vals = append(vals, v)
-		}
+// String attributes have no ranges: ErrUnsupported.
+func (a Simple[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
+	if !isInt[V]() {
+		return nil, iostat.Stats{}, ErrUnsupported
 	}
-	rows, st := a.Ix.In(vals)
+	rows, st := a.Ix.In(inRange(a.Ix.Values(), lo, hi))
 	return rows, st, nil
-}
-
-// SimpleStr adapts a simple bitmap index over strings.
-type SimpleStr struct{ Ix *simplebitmap.Index[string] }
-
-// Eq implements ColumnIndex.
-func (a SimpleStr) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	if v.Null {
-		rows, st := a.Ix.IsNull()
-		return rows, st, nil
-	}
-	rows, st := a.Ix.Eq(v.S)
-	return rows, st, nil
-}
-
-// In implements ColumnIndex.
-func (a SimpleStr) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]string, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.S)
-		}
-	}
-	rows, st := a.Ix.In(vals)
-	return rows, st, nil
-}
-
-// Range is unsupported on string attributes.
-func (a SimpleStr) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return nil, iostat.Stats{}, ErrUnsupported
 }
 
 // BSIAdapter adapts a bit-sliced index over non-negative int64 keys.

@@ -56,13 +56,12 @@ func TestBTreeAdapterNegativeValues(t *testing.T) {
 }
 
 func TestEBIAdapterNullCells(t *testing.T) {
-	col := []int64{1, 2}
-	isNull := []bool{false, false}
+	col := []int64{1, 2, 0}
+	isNull := []bool{false, false, true}
 	ix, err := core.Build(col, isNull, &core.Options[int64]{NullSupport: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = ix.AppendNull()
 	a := EBIInt{Ix: ix}
 	rows, _, err := a.Eq(table.NullCell())
 	if err != nil {

@@ -60,8 +60,8 @@ func TestFusedOpTruthTable(t *testing.T) {
 		}
 	}
 	// Adapters without the marker are never fused.
-	if isFused(SimpleInt{Ix: &simplebitmap.Index[int64]{}}, OpIn) {
-		t.Error("SimpleInt reported fused")
+	if isFused(Simple[int64]{Ix: &simplebitmap.Index[int64]{}}, OpIn) {
+		t.Error("Simple reported fused")
 	}
 }
 

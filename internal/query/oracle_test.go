@@ -102,7 +102,7 @@ func oraclePlanners(t *testing.T, col []int64) (*Executor, map[string]*Planner) 
 	paths := map[string]AccessPath{
 		"ebi":          {Name: "ebi", Index: EBIInt{Ix: ebi}, Model: EBIModel(ebi.K())},
 		"ebi-baseline": {Name: "ebi-baseline", Index: baselineEBI{Ix: ebi}, Model: EBIModel(ebi.K())},
-		"simple":       {Name: "simple", Index: SimpleInt{Ix: simple}, Model: SimpleBitmapModel()},
+		"simple":       {Name: "simple", Index: Simple[int64]{Ix: simple}, Model: SimpleBitmapModel()},
 		"wah":          {Name: "wah", Index: CompressedSimpleInt{Ix: wah}, Model: SimpleBitmapModel()},
 		"bsi":          {Name: "bsi", Index: BSIAdapter{Ix: bsi.Build(u64)}, Model: BSIModel(8)},
 		"btree": {Name: "btree", Index: BTreeAdapter{Ix: btree.Build(u64, 8), NRows: len(col)},

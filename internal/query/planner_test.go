@@ -33,7 +33,7 @@ func plannerFixture(t testing.TB, n, m int) (*Planner, []int64, int) {
 	}
 	ex := NewExecutor(tab)
 	pl := NewPlanner(ex)
-	if err := pl.AddPath("v", AccessPath{Name: "simple", Index: SimpleInt{Ix: simple}, Model: SimpleBitmapModel()}); err != nil {
+	if err := pl.AddPath("v", AccessPath{Name: "simple", Index: Simple[int64]{Ix: simple}, Model: SimpleBitmapModel()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.AddPath("v", AccessPath{Name: "ebi", Index: OrderedEBI{Ix: ordered}, Model: EBIModel(ordered.K())}); err != nil {
@@ -109,7 +109,7 @@ func TestPlannerUnsupportedPathFallsThrough(t *testing.T) {
 	_ = tab.AppendRow(table.StrCell("x"))
 	simple, _ := simplebitmap.Build([]string{"x"}, nil)
 	pl := NewPlanner(NewExecutor(tab))
-	_ = pl.AddPath("s", AccessPath{Name: "simple", Index: SimpleStr{Ix: simple}, Model: SimpleBitmapModel()})
+	_ = pl.AddPath("s", AccessPath{Name: "simple", Index: Simple[string]{Ix: simple}, Model: SimpleBitmapModel()})
 	// Range on a string path returns ErrUnsupported; the fallback (scan)
 	// then errors because strings have no range scan.
 	if _, _, _, err := pl.Eval(Range{Col: "s", Lo: 1, Hi: 2}); err == nil {

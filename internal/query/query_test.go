@@ -162,7 +162,7 @@ func TestAdaptersAgreeWithScan(t *testing.T) {
 	adapters := map[string]ColumnIndex{
 		"ebi":     EBIInt{Ix: ebi},
 		"ordered": OrderedEBI{Ix: ordered},
-		"simple":  SimpleInt{Ix: simple},
+		"simple":  Simple[int64]{Ix: simple},
 		"bsi":     BSIAdapter{Ix: bsi.Build(uvals)},
 		"btree":   BTreeAdapter{Ix: btree.Build(uvals, 16), NRows: n},
 		"proj":    ProjAdapter{Ix: projidx.Build(vals)},
@@ -213,7 +213,7 @@ func TestStringAdaptersAgree(t *testing.T) {
 	scan := NewExecutor(tab)
 	for name, ad := range map[string]ColumnIndex{
 		"ebi":    EBI[string]{Ix: ebi},
-		"simple": SimpleStr{Ix: simple},
+		"simple": Simple[string]{Ix: simple},
 	} {
 		ex := NewExecutor(tab)
 		ex.Use("region", ad)
