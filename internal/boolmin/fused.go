@@ -292,39 +292,79 @@ func (p *Program) evalBlock(acc, tmp []uint64, blocks *[MaxVars][]uint64) {
 }
 
 // Word-block kernels. Each re-slices its source to the destination length
-// so the compiler can elide the inner bounds checks.
+// so the compiler can elide the inner bounds checks, and handles four
+// words per iteration: a one-word loop is a few bytes of code whose speed
+// swung by a quarter with where the linker happened to place it relative
+// to 64-byte boundaries, which unrelated code changes move.
 
 func copyNotWords(dst, a []uint64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0], d[1], d[2], d[3] = ^s[0], ^s[1], ^s[2], ^s[3]
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = ^a[i]
 	}
 }
 
 func andWords(dst, a []uint64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0] &= s[0]
+		d[1] &= s[1]
+		d[2] &= s[2]
+		d[3] &= s[3]
+	}
+	for ; i < len(dst); i++ {
 		dst[i] &= a[i]
 	}
 }
 
 func andNotWords(dst, a []uint64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0] &^= s[0]
+		d[1] &^= s[1]
+		d[2] &^= s[2]
+		d[3] &^= s[3]
+	}
+	for ; i < len(dst); i++ {
 		dst[i] &^= a[i]
 	}
 }
 
 func orWords(dst, a []uint64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0] |= s[0]
+		d[1] |= s[1]
+		d[2] |= s[2]
+		d[3] |= s[3]
+	}
+	for ; i < len(dst); i++ {
 		dst[i] |= a[i]
 	}
 }
 
 func orNotWords(dst, a []uint64) {
 	a = a[:len(dst)]
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d, s := dst[i:i+4:i+4], a[i:i+4:i+4]
+		d[0] |= ^s[0]
+		d[1] |= ^s[1]
+		d[2] |= ^s[2]
+		d[3] |= ^s[3]
+	}
+	for ; i < len(dst); i++ {
 		dst[i] |= ^a[i]
 	}
 }
@@ -336,19 +376,32 @@ func and2Words(dst, a, b []uint64, na, nb bool) {
 	b = b[:len(dst)]
 	switch {
 	case !na && !nb:
-		for i := range dst {
+		i := 0
+		for ; i+4 <= len(dst); i += 4 {
+			d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = x[0]&y[0], x[1]&y[1], x[2]&y[2], x[3]&y[3]
+		}
+		for ; i < len(dst); i++ {
 			dst[i] = a[i] & b[i]
 		}
 	case !na && nb:
-		for i := range dst {
+		i := 0
+		for ; i+4 <= len(dst); i += 4 {
+			d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = x[0]&^y[0], x[1]&^y[1], x[2]&^y[2], x[3]&^y[3]
+		}
+		for ; i < len(dst); i++ {
 			dst[i] = a[i] &^ b[i]
 		}
 	case na && !nb:
-		for i := range dst {
-			dst[i] = b[i] &^ a[i]
-		}
+		and2Words(dst, b, a, false, true)
 	default:
-		for i := range dst {
+		i := 0
+		for ; i+4 <= len(dst); i += 4 {
+			d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = ^(x[0] | y[0]), ^(x[1] | y[1]), ^(x[2] | y[2]), ^(x[3] | y[3])
+		}
+		for ; i < len(dst); i++ {
 			dst[i] = ^(a[i] | b[i])
 		}
 	}

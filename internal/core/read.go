@@ -291,18 +291,16 @@ func (st *epochState[V]) existing() (*bitvec.Vector, iostat.Stats) {
 		acc.Fill()
 	}
 	if ix.hasNullCode {
-		res := boolmin.EvalVectors(boolmin.RetrievalFunction(ix.K(), ix.nullCode), ix.vectors)
-		nulls := res.Rows
-		if nulls.Len() != ix.n {
-			nulls = bitvec.New(ix.n)
-		}
+		// The NULL min-term unminimized (Definition 2.1): the accounting
+		// charges its full k-literal conjunction.
+		nulls, res := ix.evalProgram(boolmin.Compile(boolmin.RetrievalFunction(ix.K(), ix.nullCode)))
 		if !ix.reserveVoid {
 			// The OR loop did not run, so the NULL min-term's reads are
 			// the only ones.
 			stats.VectorsRead += res.VectorsRead
 			stats.WordsRead += res.WordsRead
 		}
-		stats.BoolOps += res.Ops + 1
+		stats.BoolOps += res.BoolOps + 1
 		acc.AndNot(nulls)
 	}
 	if st.tailLen > 0 {

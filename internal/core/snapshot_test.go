@@ -61,6 +61,22 @@ func TestExistingCountsNullReadsWithoutVoidReserve(t *testing.T) {
 	}
 }
 
+// TestExistingAllNullWithoutVoidReserve covers the k = 0 code space: a
+// column of only NULLs without the void reservation has one code, so
+// the NULL min-term is the constant true and no row exists.
+func TestExistingAllNullWithoutVoidReserve(t *testing.T) {
+	ix, err := Build([]int{0, 0, 0}, []bool{true, true, true}, &Options[int]{DisableVoidReserve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.K() != 0 {
+		t.Fatalf("k = %d, want 0", ix.K())
+	}
+	if rows, _ := ix.Existing(); rows.String() != "000" {
+		t.Fatalf("Existing = %s, want 000", rows.String())
+	}
+}
+
 type readResult struct {
 	rows *bitvec.Vector
 	st   iostat.Stats

@@ -2,30 +2,23 @@ package obs
 
 import "runtime/metrics"
 
-// resSnap is a point-in-time resource snapshot taken at span start and
-// end; the difference is the span's attribution.
+// Resources is a point-in-time resource snapshot, taken at span start
+// and end and by the planner around each plan node. Two snapshots
+// subtract (Sub) to a window's CPU time and heap allocation.
 //
-// cpuNS is the calling thread's CPU clock (CLOCK_THREAD_CPUTIME_ID on
-// linux, 0 elsewhere). Goroutines can migrate threads, so a span that
-// spans a migration under-reads; in practice query evaluation is
-// compute-bound and stays put, and the number is a measurement aid, not
-// an invariant. allocBytes/allocObjs are the process-global cumulative
+// CPUNanos is the calling thread's CPU clock (CLOCK_THREAD_CPUTIME_ID on
+// linux, 0 elsewhere). A window reads one goroutine's CPU time only while
+// that goroutine stays on one thread: spans lock it there from start to
+// End, and so does the planner around an analyzed evaluation. An
+// unpinned window that spans a migration is meaningless; its delta
+// clamps at zero rather than going negative.
+// AllocBytes/AllocObjects are the process-global cumulative
 // heap-allocation counters from runtime/metrics: deltas are exact when
 // one query runs at a time and an upper bound under concurrency. The
 // runtime folds small allocations into these counters only when an
 // mcache span is refilled, so windows that allocate a few KiB may read
 // as zero; allocations over 32KiB (e.g. multi-segment bit vectors) are
 // recorded immediately.
-type resSnap struct {
-	cpuNS      int64
-	allocBytes uint64
-	allocObjs  uint64
-}
-
-// Resources is the exported resource snapshot for callers outside obs
-// (the planner's per-plan-node attribution). Two snapshots subtract to
-// a window's CPU time and heap allocation, with the same semantics as
-// span resource deltas.
 type Resources struct {
 	CPUNanos     int64
 	AllocBytes   uint64
@@ -35,8 +28,19 @@ type Resources struct {
 // TakeResources snapshots the calling thread's CPU clock and the
 // process heap-allocation counters.
 func TakeResources() Resources {
-	s := takeResSnap()
-	return Resources{CPUNanos: s.cpuNS, AllocBytes: s.allocBytes, AllocObjects: s.allocObjs}
+	samples := [2]metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+	}
+	metrics.Read(samples[:])
+	r := Resources{CPUNanos: threadCPUNanos()}
+	if samples[0].Value.Kind() == metrics.KindUint64 {
+		r.AllocBytes = samples[0].Value.Uint64()
+	}
+	if samples[1].Value.Kind() == metrics.KindUint64 {
+		r.AllocObjects = samples[1].Value.Uint64()
+	}
+	return r
 }
 
 // Sub returns the window delta from prev to r, clamped at zero.
@@ -52,21 +56,4 @@ func (r Resources) Sub(prev Resources) Resources {
 		d.AllocObjects = r.AllocObjects - prev.AllocObjects
 	}
 	return d
-}
-
-func takeResSnap() resSnap {
-	samples := [2]metrics.Sample{
-		{Name: "/gc/heap/allocs:bytes"},
-		{Name: "/gc/heap/allocs:objects"},
-	}
-	metrics.Read(samples[:])
-	var s resSnap
-	s.cpuNS = threadCPUNanos()
-	if samples[0].Value.Kind() == metrics.KindUint64 {
-		s.allocBytes = samples[0].Value.Uint64()
-	}
-	if samples[1].Value.Kind() == metrics.KindUint64 {
-		s.allocObjs = samples[1].Value.Uint64()
-	}
-	return s
 }

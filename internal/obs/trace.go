@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +21,10 @@ import (
 // A span is built on a single goroutine and becomes immutable once End
 // is called; the tracer ring and /traces readers only see finished
 // trees. Children must End before their parent does (detached worker
-// spans End before the fork-join barrier releases the parent).
+// spans End before the fork-join barrier releases the parent). From
+// start to End the goroutine is locked to its OS thread, so the thread
+// CPU clock the span reads is that goroutine's alone; End must
+// therefore run on the goroutine that started the span.
 //
 // All methods are safe on a nil receiver, which is what StartSpan
 // returns while telemetry is disabled — instrumented code needs no
@@ -54,7 +58,7 @@ type Span struct {
 	tracer   *Tracer
 	parent   *Span
 	detached bool // ended on a different goroutine than the parent
-	res      resSnap
+	res      Resources
 	extCPU   atomic.Int64 // CPU contributed by detached children
 	childMu  sync.Mutex
 	labelCtx context.Context // pprof label set for worker goroutines
@@ -98,7 +102,8 @@ func newSpan(name string, parent *Span, tracer *Tracer) *Span {
 	} else {
 		sp.TraceID = sp.ID
 	}
-	sp.res = takeResSnap()
+	runtime.LockOSThread()
+	sp.res = TakeResources()
 	return sp
 }
 
@@ -187,14 +192,10 @@ func (sp *Span) End() {
 		return
 	}
 	sp.DurationNS = time.Since(sp.Start).Nanoseconds()
-	end := takeResSnap()
-	sp.CPUNanos = end.cpuNS - sp.res.cpuNS + sp.extCPU.Load()
-	if end.allocBytes >= sp.res.allocBytes {
-		sp.AllocBytes = end.allocBytes - sp.res.allocBytes
-	}
-	if end.allocObjs >= sp.res.allocObjs {
-		sp.AllocObjects = end.allocObjs - sp.res.allocObjs
-	}
+	d := TakeResources().Sub(sp.res)
+	runtime.UnlockOSThread()
+	sp.CPUNanos = d.CPUNanos + sp.extCPU.Load()
+	sp.AllocBytes, sp.AllocObjects = d.AllocBytes, d.AllocObjects
 	if sp.parent != nil {
 		if sp.detached {
 			// The parent's thread clock never saw this worker's time.

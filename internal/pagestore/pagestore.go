@@ -11,6 +11,7 @@ package pagestore
 import (
 	"container/list"
 	"fmt"
+	"sync"
 
 	"repro/internal/obs"
 )
@@ -48,9 +49,11 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Cache is an LRU buffer cache over pages.
+// Cache is an LRU buffer cache over pages, safe for concurrent use:
+// queries on one paged index from several goroutines share it.
 type Cache struct {
 	capacity int
+	mu       sync.Mutex
 	lru      *list.List               // front = most recent
 	pages    map[PageID]*list.Element // element value is PageID
 	stats    Stats
@@ -73,16 +76,30 @@ func NewCache(capacity int) *Cache {
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of resident pages.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
+}
 
 // Stats returns the accumulated counters.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
 
 // ResetStats zeroes the counters without evicting pages.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+func (c *Cache) ResetStats() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats = Stats{}
+}
 
 // Touch requests one page, returning true on a cache hit.
 func (c *Cache) Touch(id PageID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.pages[id]; ok {
 		c.lru.MoveToFront(el)
 		c.stats.Hits++

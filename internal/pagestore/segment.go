@@ -70,9 +70,9 @@ func (p *PagedIndex[V]) chargeVarsSegmented(vars uint32) (hits, misses int) {
 
 // InParallel evaluates the selection with the segmented parallel engine,
 // charging page I/O in the per-segment interleaved order the engine
-// reads. The cache is not safe for concurrent use, so the charge happens
-// up front on the calling goroutine — it models the access pattern, not
-// the timing — and the row evaluation then fans out across segments.
+// reads. The charge happens up front on the calling goroutine — it
+// models the access pattern, not the timing — and the row evaluation
+// then fans out across segments.
 func (p *PagedIndex[V]) InParallel(values []V, degree int) (*bitvec.Vector, iostat.Stats, Stats) {
 	expr := p.ix.ExprFor(values)
 	hits, misses := p.chargeVarsSegmented(expr.Vars())

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+
 	"repro/internal/bitvec"
 	"repro/internal/bsi"
 	"repro/internal/btree"
@@ -152,44 +154,66 @@ func (a ProjAdapter) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return rows, st, nil
 }
 
-// CompressedSimpleInt adapts a WAH-compressed simple bitmap index over
-// int64 values. The compressed index does not expose its value domain, so
-// Range enumerates the integer interval itself — fine for the narrow
-// domains the compressed index targets, and priced by the same c_s = δ
-// model as the uncompressed form.
-type CompressedSimpleInt struct {
-	Ix *simplebitmap.CompressedIndex[int64]
+// CompressedSimple adapts a WAH-compressed simple bitmap index over int64
+// or string values. The compressed index does not expose its value
+// domain, so an int Range enumerates the integer interval itself — fine
+// for the narrow domains the compressed index targets, and priced by the
+// same c_s = δ model as the uncompressed form. String attributes have no
+// ranges: ErrUnsupported.
+type CompressedSimple[V ebiValue] struct {
+	Ix *simplebitmap.CompressedIndex[V]
 }
 
-// Eq implements ColumnIndex.
-func (a CompressedSimpleInt) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+// Eq implements ColumnIndex; Eq NULL selects the NULL rows.
+func (a CompressedSimple[V]) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 	if v.Null {
 		rows, st := a.Ix.IsNull()
 		return rows, st, nil
 	}
-	rows, st := a.Ix.Eq(v.I)
+	rows, st := a.Ix.Eq(cellValue[V](v))
 	return rows, st, nil
 }
 
-// In implements ColumnIndex.
-func (a CompressedSimpleInt) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	vals := make([]int64, 0, len(vs))
-	for _, v := range vs {
-		if !v.Null {
-			vals = append(vals, v.I)
-		}
-	}
-	rows, st := a.Ix.In(vals)
+// In implements ColumnIndex; NULL cells select nothing.
+func (a CompressedSimple[V]) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
+	rows, st := a.Ix.In(cellValues[V](vs))
 	return rows, st, nil
 }
 
 // Range probes every integer in [lo, hi]; values outside the indexed
 // domain contribute nothing.
-func (a CompressedSimpleInt) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []int64
+func (a CompressedSimple[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
+	if !isInt[V]() {
+		return nil, iostat.Stats{}, ErrUnsupported
+	}
+	var vals []V
 	for v := lo; v <= hi; v++ {
-		vals = append(vals, v)
+		vals = append(vals, cellValue[V](table.IntCell(v)))
 	}
 	rows, st := a.Ix.In(vals)
 	return rows, st, nil
+}
+
+// EvalLeaf implements LeafIndex: the streamed OR is sequential, so a
+// parallel degree reports ErrUnsupported.
+func (a CompressedSimple[V]) EvalLeaf(_ context.Context, p Predicate, degree int) (LeafResult, error) {
+	if degree > 1 {
+		return LeafResult{}, ErrUnsupported
+	}
+	return columnLeaf(a, p)
+}
+
+// FusedOp implements LeafIndex: In and the interval-probing Range OR
+// their operands in one fused pass over compressed word streams; Eq is a
+// single-vector decompress with nothing to fuse.
+func (CompressedSimple[V]) FusedOp(op Op) bool { return op == OpIn || op == OpRange && isInt[V]() }
+
+// TheoreticalMinVectors implements LeafIndex: a simple bitmap has no
+// encoding to measure against.
+func (CompressedSimple[V]) TheoreticalMinVectors(int) int { return -1 }
+
+// PredictLeaf implements LeafIndex: compressed word counts have no
+// analytic model.
+func (CompressedSimple[V]) PredictLeaf(Predicate) (iostat.Stats, uint64, bool) {
+	return iostat.Stats{}, 0, false
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -275,6 +276,74 @@ func TestPagedLeafReportsPageTraffic(t *testing.T) {
 	// The heatmap saw the same traffic.
 	if rep := paged.Heat().Report(); rep.TotalTouches == 0 {
 		t.Fatal("heatmap empty after paged evaluations")
+	}
+}
+
+// TestPagedConcurrentLeafPages runs EXPLAIN ANALYZE on a paged path
+// while other goroutines query the same paged index. The shared buffer
+// cache must be safe for concurrent use (run under -race), and every
+// analyzed leaf must report the page traffic its own call charged — the
+// fetch span's hits and misses, summing to every page of every vector it
+// read — not what the other goroutines moved the shared cache counters
+// by meanwhile.
+func TestPagedConcurrentLeafPages(t *testing.T) {
+	const n = 4000
+	pl, paged := pagedFixture(t, n)
+	perVector := pagestore.NewLayout(n, 64).PagesPerVector()
+	withTelemetry(t)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ix := PagedEBI[int64]{Ix: paged}
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := ix.In([]table.Cell{table.IntCell(int64((g + i) % 8))}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	for i := 0; i < 50; i++ {
+		p := Predicate(Eq{Col: "v", Val: table.IntCell(int64(i % 8))})
+		if i%2 == 1 {
+			p = In{Col: "v", Vals: []table.Cell{table.IntCell(int64(i % 8)), table.IntCell(int64((i + 3) % 8))}}
+		}
+		_, plan, err := pl.ExplainAnalyze(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := plan.Root
+		if got, want := leaf.PageHits+leaf.PageMisses, leaf.Stats.VectorsRead*perVector; got != want {
+			t.Fatalf("run %d (%s): leaf pages %dh/%dm, want %d touches", i, p, leaf.PageHits, leaf.PageMisses, want)
+		}
+		var fetch *obs.Span
+		obs.DefaultTracer().Recent(1)[0].Walk(func(sp *obs.Span) {
+			if sp.Name == "ebi.page.fetch" {
+				fetch = sp
+			}
+		})
+		if fetch == nil {
+			t.Fatalf("run %d: no ebi.page.fetch span", i)
+		}
+		hits, _ := fetch.Attrs["page_hits"].(int)
+		misses, _ := fetch.Attrs["page_misses"].(int)
+		if hits != leaf.PageHits || misses != leaf.PageMisses {
+			t.Fatalf("run %d: leaf pages %dh/%dm, its fetch charged %dh/%dm", i, leaf.PageHits, leaf.PageMisses, hits, misses)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/iostat"
@@ -60,7 +62,7 @@ func (a EBI[V]) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
 // the paper's "discrete domains" rewriting — and evaluates the reduced
 // expression. String attributes have no ranges: ErrUnsupported.
 func (a EBI[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	vals, ok := a.rangeVals(lo, hi)
+	vals, ok := leafValues(Range{Lo: lo, Hi: hi}, a.Ix)
 	if !ok {
 		return nil, iostat.Stats{}, ErrUnsupported
 	}
@@ -68,72 +70,46 @@ func (a EBI[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return rows, st, nil
 }
 
-// EvalLeafParallel implements ParallelIndex. Eq, In and the Range rewrite
-// each run one reduced expression, which segments cleanly; Eq over NULL
-// is not segmented and stays sequential. A parallel point selection
-// bypasses the program cache.
-func (a EBI[V]) EvalLeafParallel(p Predicate, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []V
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Eq(p.Val)
-		}
-		vals = []V{cellValue[V](p.Val)}
-	case In:
-		vals = cellValues[V](p.Vals)
-	case Range:
-		var ok bool
-		if vals, ok = a.rangeVals(p.Lo, p.Hi); !ok {
-			return nil, iostat.Stats{}, ErrUnsupported
-		}
-	default:
-		return nil, iostat.Stats{}, ErrUnsupported
+// EvalLeaf implements LeafIndex. A sequential point selection goes
+// through the handle's program cache; In, the Range rewrite and a
+// parallel point selection each run one freshly reduced expression,
+// which segments cleanly, with worker spans under the span in ctx. Eq
+// over NULL is not segmented and runs sequentially at any degree.
+func (a EBI[V]) EvalLeaf(ctx context.Context, p Predicate, degree int) (LeafResult, error) {
+	if e, ok := p.(Eq); ok && (degree <= 1 || e.Val.Null) {
+		return leafResult(a.Eq(e.Val))
 	}
-	rows, st := a.Ix.InParallel(vals, degree, sp)
-	return rows, st, nil
+	vals, ok := leafValues(p, a.Ix)
+	if !ok {
+		return LeafResult{}, ErrUnsupported
+	}
+	var res LeafResult
+	res.Rows, res.Stats = a.Ix.InParallel(vals, degree, obs.SpanFromContext(ctx))
+	return res, nil
 }
 
-// FusedOp implements FusedIndex: every operation that reaches the index
+// FusedOp implements LeafIndex: every operation that reaches the index
 // is fused; Range on string attributes never does.
 func (EBI[V]) FusedOp(op Op) bool { return op != OpRange || isInt[V]() }
 
-// TheoreticalMinVectors implements MinVectorsIndex.
+// TheoreticalMinVectors implements LeafIndex.
 func (a EBI[V]) TheoreticalMinVectors(delta int) int { return a.Ix.TheoreticalMinVectors(delta) }
 
-// PredictLeafStats implements PredictLeafIndex, mirroring the adapter's
-// rewrites. On a Synced index every prediction pins one epoch snapshot,
-// so it is exact even while appends or a live re-encoding race the
-// audited query (basis movement shows up as a PredictGen change). Range
-// on strings has no model: the adapter refuses it and the executor's
-// scan fallback depends on the table, not the encoding.
-func (a EBI[V]) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			return a.Ix.PredictIsNullStats(), true
-		}
-		return a.Ix.PredictSelectionStats([]V{cellValue[V](p.Val)}), true
-	case In:
-		return a.Ix.PredictSelectionStats(cellValues[V](p.Vals)), true
-	case Range:
-		if vals, ok := a.rangeVals(p.Lo, p.Hi); ok {
-			return a.Ix.PredictSelectionStats(vals), true
-		}
+// PredictLeaf implements LeafIndex, mirroring the adapter's rewrites. On
+// a Synced index every prediction pins one epoch snapshot, so it is exact
+// even while appends or a live re-encoding race the audited query (basis
+// movement shows up as a stamp change). Range on strings has no model:
+// the adapter refuses it and the executor's scan fallback depends on the
+// table, not the encoding.
+func (a EBI[V]) PredictLeaf(p Predicate) (iostat.Stats, uint64, bool) {
+	if e, ok := p.(Eq); ok && e.Val.Null {
+		return a.Ix.PredictIsNullStats(), a.Ix.PredictGen(), true
 	}
-	return iostat.Stats{}, false
-}
-
-// PredictGen implements PredictLeafIndex.
-func (a EBI[V]) PredictGen() uint64 { return a.Ix.PredictGen() }
-
-// rangeVals lists the mapped domain values inside [lo, hi]; ok is false
-// on string attributes.
-func (a EBI[V]) rangeVals(lo, hi int64) ([]V, bool) {
-	if !isInt[V]() {
-		return nil, false
+	vals, ok := leafValues(p, a.Ix)
+	if !ok {
+		return iostat.Stats{}, 0, false
 	}
-	return inRange(a.Ix.Values(), lo, hi), true
+	return a.Ix.PredictSelectionStats(vals), a.Ix.PredictGen(), true
 }
 
 // OrderedEBI adapts an order-preserving encoded bitmap index: ranges run
@@ -157,37 +133,58 @@ func (a OrderedEBI) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
 	return rows, st, nil
 }
 
-// EvalLeafParallel implements ParallelIndex. Range reports
+// EvalLeaf implements LeafIndex. A parallel Range reports
 // ErrUnsupported: the comparison pass is stateful across vectors and is
-// not segmented, so the planner falls back to the sequential Range.
-func (a OrderedEBI) EvalLeafParallel(p Predicate, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error) {
-	if _, ok := p.(Range); ok {
-		return nil, iostat.Stats{}, ErrUnsupported
+// not segmented, so it runs sequentially.
+func (a OrderedEBI) EvalLeaf(ctx context.Context, p Predicate, degree int) (LeafResult, error) {
+	if r, ok := p.(Range); ok {
+		if degree > 1 {
+			return LeafResult{}, ErrUnsupported
+		}
+		return leafResult(a.Range(r.Lo, r.Hi))
 	}
-	return a.ebi().EvalLeafParallel(p, degree, sp)
+	return a.ebi().EvalLeaf(ctx, p, degree)
 }
 
-// FusedOp implements FusedIndex: Range is the comparison pass, a
+// FusedOp implements LeafIndex: Range is the comparison pass, a
 // different algorithm entirely.
 func (OrderedEBI) FusedOp(op Op) bool { return op != OpRange }
 
-// TheoreticalMinVectors implements MinVectorsIndex.
+// TheoreticalMinVectors implements LeafIndex.
 func (a OrderedEBI) TheoreticalMinVectors(delta int) int {
 	return a.ebi().TheoreticalMinVectors(delta)
 }
 
-// PredictLeafStats implements PredictLeafIndex for Eq and In. The
-// comparison pass's per-vector accounting is data-independent too but
-// not program-compiled; it is out of scope here.
-func (a OrderedEBI) PredictLeafStats(p Predicate) (iostat.Stats, bool) {
+// PredictLeaf implements LeafIndex for Eq and In. The comparison pass's
+// per-vector accounting is data-independent too but not
+// program-compiled; it is out of scope here.
+func (a OrderedEBI) PredictLeaf(p Predicate) (iostat.Stats, uint64, bool) {
 	if _, ok := p.(Range); ok {
-		return iostat.Stats{}, false
+		return iostat.Stats{}, 0, false
 	}
-	return a.ebi().PredictLeafStats(p)
+	return a.ebi().PredictLeaf(p)
 }
 
-// PredictGen implements PredictLeafIndex.
-func (a OrderedEBI) PredictGen() uint64 { return a.ebi().PredictGen() }
+// leafValues lists the values a leaf selects from an index whose value
+// domain is ix.Values(): an Eq's or In's non-NULL cells, or the domain
+// values inside a Range. ok is false for Range on strings, which has no
+// meaning, and for combinators.
+func leafValues[V ebiValue](p Predicate, ix interface{ Values() []V }) ([]V, bool) {
+	switch p := p.(type) {
+	case Eq:
+		if p.Val.Null {
+			return nil, true
+		}
+		return []V{cellValue[V](p.Val)}, true
+	case In:
+		return cellValues[V](p.Vals), true
+	case Range:
+		if isInt[V]() {
+			return inRange(ix.Values(), p.Lo, p.Hi), true
+		}
+	}
+	return nil, false
+}
 
 // isInt reports whether V is int64.
 func isInt[V ebiValue]() bool {

@@ -82,9 +82,10 @@ type PlanNode struct {
 	Parallel int `json:"parallel,omitempty"`
 
 	// Fused reports that the leaf's chosen path evaluates this operation
-	// through the fused single-pass kernel (FusedIndex). Unlike Parallel it
-	// is a static property of the routing, so EXPLAIN's prediction and
-	// EXPLAIN ANALYZE's observation always agree.
+	// through the fused single-pass kernel (LeafIndex.FusedOp). Unlike
+	// Parallel it is a static property of the routing, so EXPLAIN's
+	// prediction and EXPLAIN ANALYZE's observation agree unless the path
+	// refuses the operation at run time.
 	Fused bool `json:"fused,omitempty"`
 
 	// EstReads is the estimated cost in vector-read currency: the chosen
@@ -102,7 +103,8 @@ type PlanNode struct {
 	Misestimate bool         `json:"misestimate,omitempty"`
 	// ExcessVectors is the leaf's vector reads beyond the Theorem
 	// 2.2/2.3 theoretical minimum for its selection width (see
-	// MinVectorsIndex); 0 on combinators and non-EBI paths.
+	// LeafIndex.TheoreticalMinVectors); 0 on combinators and non-EBI
+	// paths.
 	ExcessVectors int `json:"excess_vectors,omitempty"`
 
 	// Resource attribution, captured by EXPLAIN ANALYZE over the node's
@@ -114,17 +116,11 @@ type PlanNode struct {
 	AllocBytes   uint64 `json:"alloc_bytes,omitempty"`
 	AllocObjects uint64 `json:"allocs,omitempty"`
 	// PageHits/PageMisses are the buffer-cache page touches a leaf's
-	// access path charged (paths implementing PageStatsIndex only).
+	// evaluation charged (paged access paths only).
 	PageHits   int `json:"page_hits,omitempty"`
 	PageMisses int `json:"page_misses,omitempty"`
 
 	Children []*PlanNode `json:"children,omitempty"`
-
-	// Bindings for prepared re-execution.
-	op       Op
-	leafPred Predicate
-	path     *AccessPath // nil = executor fallback
-	misSeen  bool        // misestimate already counted (prepared re-runs)
 }
 
 // Walk visits the node and its subtree in depth-first order.
@@ -248,31 +244,32 @@ func (n *PlanNode) line() string {
 // cannot be predicted without executing, so a leaf whose registered path
 // would refuse the operation at run time still shows that path here.
 func (pl *Planner) Explain(p Predicate) (*Plan, error) {
-	root, err := pl.explain(p)
+	root, err := pl.explain(p, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{Query: p.String(), Root: root}, nil
 }
 
-func (pl *Planner) explain(p Predicate) (*PlanNode, error) {
+// explain builds the estimate-only tree, appending each leaf's routing
+// to routes (in DFS preorder) when routes is non-nil.
+func (pl *Planner) explain(p Predicate, routes *[]route) (*PlanNode, error) {
 	if col, op, delta, ok := leafShape(p); ok {
 		path, cost := pl.choose(col, op, delta)
 		n := &PlanNode{
 			Kind: KindLeaf, Pred: p.String(),
 			Column: col, Op: op.String(), Delta: delta,
-			op: op, leafPred: p, path: path,
+			Path: "fallback", EstReads: jsonFloat(cost),
 		}
 		if path != nil {
 			n.Path = path.Name
-			n.EstReads = jsonFloat(cost)
-			n.Fused = isFused(path.Index, op)
+			n.Fused, _ = leafFacts(path.Index, op, delta, 0)
 			if deg := pl.parallelDegree(path); deg > 1 {
 				n.Parallel = deg
 			}
-		} else {
-			n.Path = "fallback"
-			n.EstReads = jsonFloat(math.Inf(1))
+		}
+		if routes != nil {
+			*routes = append(*routes, route{path: path, cost: cost})
 		}
 		return n, nil
 	}
@@ -281,8 +278,8 @@ func (pl *Planner) explain(p Predicate) (*PlanNode, error) {
 		return nil, err
 	}
 	n := &PlanNode{Kind: kind, Pred: p.String()}
-	for _, child := range children {
-		cn, err := pl.explain(child)
+	for i := 0; i < children; i++ {
+		cn, err := pl.explain(childPred(p, i), routes)
 		if err != nil {
 			return nil, err
 		}
@@ -292,32 +289,10 @@ func (pl *Planner) explain(p Predicate) (*PlanNode, error) {
 	return n, nil
 }
 
-// combinatorShape maps a combinator predicate to its kind and children,
-// validating the same invariants eval enforces.
-func combinatorShape(p Predicate) (string, []Predicate, error) {
-	switch p := p.(type) {
-	case And:
-		if len(p.Preds) == 0 {
-			return "", nil, fmt.Errorf("query: empty AND")
-		}
-		return KindAnd, p.Preds, nil
-	case Or:
-		if len(p.Preds) == 0 {
-			return "", nil, fmt.Errorf("query: empty OR")
-		}
-		return KindOr, p.Preds, nil
-	case Not:
-		return KindNot, []Predicate{p.Pred}, nil
-	case nil:
-		return "", nil, fmt.Errorf("query: nil predicate")
-	default:
-		return "", nil, fmt.Errorf("query: unknown predicate %T", p)
-	}
-}
-
 // ExplainAnalyze plans and executes the predicate, returning the row set
 // and the analyzed plan: per node, estimated vs actual cost, the
-// subtree's iostat.Stats delta, qualifying rows, and wall time. The
+// subtree's iostat.Stats delta, qualifying rows, wall time, CPU time,
+// heap allocation and (for page-backed paths) buffer-cache traffic. The
 // root's Stats equals the evaluation's total cost exactly.
 func (pl *Planner) ExplainAnalyze(p Predicate) (*bitvec.Vector, *Plan, error) {
 	return pl.ExplainAnalyzeContext(context.Background(), p)
@@ -329,107 +304,8 @@ func (pl *Planner) ExplainAnalyze(p Predicate) (*bitvec.Vector, *Plan, error) {
 // sample bucket, and routes the analyzed plan through the slow-query
 // log like any other query.
 func (pl *Planner) ExplainAnalyzeContext(ctx context.Context, p Predicate) (*bitvec.Vector, *Plan, error) {
-	t0 := time.Now()
-	var sp *obs.Span
-	defer func() { hQueryEvalSeconds.ObserveSpan(time.Since(t0).Seconds(), sp) }()
-	ctx, sp = obs.StartSpan(ctx, "ebi.plan.explain")
-	var st iostat.Stats
-	var choices []Choice
-	rows, root, err := pl.analyze(ctx, p, &st, &choices)
-	if sp != nil {
-		sp.SetAttr("choices", choiceStrings(choices))
-		if mis := misestimates(choices); len(mis) > 0 {
-			sp.SetAttr("misestimates", mis)
-		}
-	}
-	finishQuery(sp, p, st, err, sumExcess(choices))
-	if err != nil {
-		return nil, nil, err
-	}
-	plan := &Plan{
-		Query: p.String(), Analyzed: true, Root: root,
-		Stats: st, ElapsedNS: time.Since(t0).Nanoseconds(),
-		CPUNanos: root.CPUNanos, AllocBytes: root.AllocBytes, AllocObjects: root.AllocObjects,
-	}
-	observeSlow(plan)
-	return rows, plan, nil
-}
-
-// analyze is eval with plan-tree construction: identical routing, stats
-// accounting, and results, plus per-node actuals — wall time, CPU time,
-// heap allocation, and (for page-backed paths) buffer-cache traffic. A
-// node's resource window covers its children, so the root's numbers
-// equal the evaluation's totals without a separate summation pass.
-func (pl *Planner) analyze(ctx context.Context, p Predicate, st *iostat.Stats, choices *[]Choice) (*bitvec.Vector, *PlanNode, error) {
-	t0 := time.Now()
-	r0 := obs.TakeResources()
-	if _, _, _, ok := leafShape(p); ok {
-		before := *st
-		rows, ch, err := pl.leafExec(ctx, p, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		*choices = append(*choices, ch)
-		res := obs.TakeResources().Sub(r0)
-		n := &PlanNode{
-			Kind: KindLeaf, Pred: p.String(),
-			Column: ch.Column, Op: ch.Op.String(), Delta: ch.Delta, Path: ch.Path,
-			Parallel: ch.Par, Fused: ch.Fused,
-			EstReads: jsonFloat(ch.Cost),
-			Analyzed: true, ActReads: jsonFloat(ch.Actual),
-			Stats: st.Sub(before), Rows: rows.Count(),
-			ElapsedNS:     time.Since(t0).Nanoseconds(),
-			Misestimate:   ch.Misestimated(),
-			ExcessVectors: ch.Excess,
-			CPUNanos:      res.CPUNanos,
-			AllocBytes:    res.AllocBytes,
-			AllocObjects:  res.AllocObjects,
-			PageHits:      ch.PageHits,
-			PageMisses:    ch.PageMisses,
-			op:            ch.Op, leafPred: p,
-		}
-		return rows, n, nil
-	}
-	kind, children, err := combinatorShape(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := &PlanNode{Kind: kind, Pred: p.String(), Analyzed: true}
-	before := *st
-	acc, cn, err := pl.analyze(ctx, children[0], st, choices)
-	if err != nil {
-		return nil, nil, err
-	}
-	n.Children = append(n.Children, cn)
-	n.EstReads += cn.EstReads
-	for _, child := range children[1:] {
-		rows, cn, err := pl.analyze(ctx, child, st, choices)
-		if err != nil {
-			return nil, nil, err
-		}
-		n.Children = append(n.Children, cn)
-		n.EstReads += cn.EstReads
-		switch kind {
-		case KindAnd:
-			acc.And(rows)
-		case KindOr:
-			acc.Or(rows)
-		}
-		st.BoolOps++
-	}
-	if kind == KindNot {
-		acc = acc.Not()
-		st.BoolOps++
-	}
-	n.Stats = st.Sub(before)
-	n.ActReads = jsonFloat(actualCost(n.Stats))
-	n.Rows = acc.Count()
-	n.ElapsedNS = time.Since(t0).Nanoseconds()
-	res := obs.TakeResources().Sub(r0)
-	n.CPUNanos = res.CPUNanos
-	n.AllocBytes = res.AllocBytes
-	n.AllocObjects = res.AllocObjects
-	return acc, n, nil
+	r := run{ex: pl.ex, pl: pl, analyze: true, resources: true}
+	return r.query(ctx, "ebi.plan.explain", "", p, "", nil)
 }
 
 // observeSlow routes one analyzed evaluation through the slow-query log

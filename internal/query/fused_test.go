@@ -38,7 +38,7 @@ func fusedFixture(t *testing.T, n int) (*Planner, []int64) {
 func TestFusedOpTruthTable(t *testing.T) {
 	cases := []struct {
 		name       string
-		ix         FusedIndex
+		ix         LeafIndex
 		eq, in, rn bool
 	}{
 		{"EBI[int64] over Index", EBI[int64]{Ix: (*core.Index[int64])(nil)}, true, true, true},
@@ -46,7 +46,10 @@ func TestFusedOpTruthTable(t *testing.T) {
 		{"OrderedEBI", OrderedEBI{}, true, true, false},
 		{"EBI[int64] over Synced", EBI[int64]{Ix: (*core.Synced[int64])(nil)}, true, true, true},
 		{"EBI[string] over Synced", EBI[string]{Ix: (*core.Synced[string])(nil)}, true, true, false},
-		{"CompressedSimpleInt", CompressedSimpleInt{}, false, true, true},
+		{"PagedEBI[int64]", PagedEBI[int64]{}, true, true, true},
+		{"PagedEBI[string]", PagedEBI[string]{}, true, true, false},
+		{"CompressedSimple[int64]", CompressedSimple[int64]{}, false, true, true},
+		{"CompressedSimple[string]", CompressedSimple[string]{}, false, true, false},
 	}
 	for _, c := range cases {
 		if got := c.ix.FusedOp(OpEq); got != c.eq {
@@ -59,8 +62,8 @@ func TestFusedOpTruthTable(t *testing.T) {
 			t.Errorf("%s.FusedOp(range) = %v, want %v", c.name, got, c.rn)
 		}
 	}
-	// Adapters without the marker are never fused.
-	if isFused(Simple[int64]{Ix: &simplebitmap.Index[int64]{}}, OpIn) {
+	// Adapters without the leaf contract are never fused.
+	if fused, _ := leafFacts(Simple[int64]{Ix: &simplebitmap.Index[int64]{}}, OpIn, 1, 1); fused {
 		t.Error("Simple reported fused")
 	}
 }

@@ -33,7 +33,7 @@ func TestLeafExcessAnnotation(t *testing.T) {
 	// A 6-value selection is wide enough that the cost model routes it to
 	// the encoded path (k+1 < 6 simple bitmaps). The leaf's Excess must
 	// equal the same recomputation the planner performs through the
-	// MinVectorsIndex capability.
+	// leaf contract.
 	p := Predicate(In{Col: "v", Vals: []table.Cell{
 		table.IntCell(1), table.IntCell(2), table.IntCell(3),
 		table.IntCell(4), table.IntCell(5), table.IntCell(6),
@@ -62,12 +62,13 @@ func TestLeafExcessAnnotation(t *testing.T) {
 }
 
 // leafExcessForTest recomputes the expected excess through the same
-// capability interface the planner uses.
+// leaf-contract facts the planner uses.
 func leafExcessForTest(pl *Planner, pathName string, delta, vectorsRead int) int {
 	for _, paths := range pl.paths {
 		for i := range paths {
 			if paths[i].Name == pathName {
-				return leafExcess(paths[i].Index, delta, vectorsRead)
+				_, excess := leafFacts(paths[i].Index, OpIn, delta, vectorsRead)
+				return excess
 			}
 		}
 	}
@@ -91,7 +92,7 @@ func TestSlowQueryCarriesExcessVectors(t *testing.T) {
 	wantExcess := planExcess(plan)
 
 	// Every analyzed leaf on the ebi path must agree with a direct
-	// recomputation through the capability interface.
+	// recomputation through the leaf contract.
 	plan.Root.Walk(func(n *PlanNode) {
 		if n.Kind != KindLeaf || n.Path != "ebi" {
 			return

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -86,7 +87,7 @@ func shapeSynced[V comparable](t *testing.T, col []V, nulls []bool) *core.Synced
 // through Eq, Eq(NULL), In and Range leaves, sequentially and through
 // the parallel leaf at degree 4. Rows must equal the table scan bit for
 // bit, stats must equal the plain-Index adapter on the same data, and
-// every shape's PredictLeafStats must equal its measured stats.
+// every shape's PredictLeaf must equal its measured stats.
 func TestOracleEBIShapes(t *testing.T) {
 	n := bitvec.SegmentBits + 500
 	if testing.Short() {
@@ -165,8 +166,8 @@ func TestOracleEBIShapes(t *testing.T) {
 		if _, _, err := sh.ix.Range(0, 5); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("%s: Range error %v, want ErrUnsupported", sh.name, err)
 		}
-		if pix, ok := sh.ix.(ParallelIndex); ok {
-			if _, _, err := pix.EvalLeafParallel(Range{Col: "v", Lo: 0, Hi: 5}, 4, nil); !errors.Is(err, ErrUnsupported) {
+		if li, ok := sh.ix.(LeafIndex); ok {
+			if _, err := li.EvalLeaf(context.Background(), Range{Col: "v", Lo: 0, Hi: 5}, 4); !errors.Is(err, ErrUnsupported) {
 				t.Errorf("%s: parallel Range error %v, want ErrUnsupported", sh.name, err)
 			}
 		}
@@ -201,18 +202,17 @@ func checkShapes(t *testing.T, scan *Executor, shapes []ebiShape, leaves []Predi
 			case !(isRange && isOrdered) && st != ref:
 				t.Fatalf("%s: stats %+v, plain Index %+v", ctx, st, ref)
 			}
-			if pix, ok := sh.ix.(PredictLeafIndex); ok {
-				if pred, ok := pix.PredictLeafStats(leaf); ok && pred != st {
-					t.Fatalf("%s: predicted %+v, measured %+v", ctx, pred, st)
-				} else if !ok && !(isRange && isOrdered) {
-					t.Fatalf("%s: no prediction", ctx)
-				}
-			}
-			pix, ok := sh.ix.(ParallelIndex)
+			li, ok := sh.ix.(LeafIndex)
 			if !ok {
 				continue
 			}
-			prows, pst, err := pix.EvalLeafParallel(leaf, 4, nil)
+			if pred, _, ok := li.PredictLeaf(leaf); ok && pred != st {
+				t.Fatalf("%s: predicted %+v, measured %+v", ctx, pred, st)
+			} else if !ok && !(isRange && isOrdered) {
+				t.Fatalf("%s: no prediction", ctx)
+			}
+			pres, err := li.EvalLeaf(context.Background(), leaf, 4)
+			prows, pst := pres.Rows, pres.Stats
 			if isRange && isOrdered {
 				if !errors.Is(err, ErrUnsupported) {
 					t.Fatalf("%s: parallel comparison Range error %v, want ErrUnsupported", ctx, err)

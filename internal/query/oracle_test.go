@@ -103,7 +103,7 @@ func oraclePlanners(t *testing.T, col []int64) (*Executor, map[string]*Planner) 
 		"ebi":          {Name: "ebi", Index: EBIInt{Ix: ebi}, Model: EBIModel(ebi.K())},
 		"ebi-baseline": {Name: "ebi-baseline", Index: baselineEBI{Ix: ebi}, Model: EBIModel(ebi.K())},
 		"simple":       {Name: "simple", Index: Simple[int64]{Ix: simple}, Model: SimpleBitmapModel()},
-		"wah":          {Name: "wah", Index: CompressedSimpleInt{Ix: wah}, Model: SimpleBitmapModel()},
+		"wah":          {Name: "wah", Index: CompressedSimple[int64]{Ix: wah}, Model: SimpleBitmapModel()},
 		"bsi":          {Name: "bsi", Index: BSIAdapter{Ix: bsi.Build(u64)}, Model: BSIModel(8)},
 		"btree": {Name: "btree", Index: BTreeAdapter{Ix: btree.Build(u64, 8), NRows: len(col)},
 			Model: BTreeModel(3, len(col)/8)},

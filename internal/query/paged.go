@@ -9,22 +9,6 @@ import (
 	"repro/internal/table"
 )
 
-// CtxColumnIndex is the optional capability interface for access paths
-// that want the evaluation context: a paged index uses it to nest its
-// page-fetch work under the query's span tree. EvalLeafCtx must answer
-// any leaf predicate (Eq/In/Range) with the exact rows and stats the
-// plain ColumnIndex methods would return, or ErrUnsupported.
-type CtxColumnIndex interface {
-	EvalLeafCtx(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error)
-}
-
-// PageStatsIndex is the optional capability interface for access paths
-// backed by a page cache. The planner diffs PageStats around each leaf
-// to fold per-leaf page hits and misses into EXPLAIN ANALYZE.
-type PageStatsIndex interface {
-	PageStats() (hits, misses int)
-}
-
 // PagedEBI adapts a page-charged encoded bitmap index: every selection
 // faults its vectors' page runs through the buffer cache (and heatmap)
 // before evaluating. Ranges use the discrete-domain IN rewrite and are
@@ -33,52 +17,60 @@ type PagedEBI[V ebiValue] struct{ Ix *pagestore.PagedIndex[V] }
 
 // Eq implements ColumnIndex.
 func (a PagedEBI[V]) Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), Eq{Val: v})
+	return a.column(Eq{Val: v})
 }
 
 // In implements ColumnIndex.
 func (a PagedEBI[V]) In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), In{Vals: vs})
+	return a.column(In{Vals: vs})
 }
 
 // Range implements ColumnIndex.
 func (a PagedEBI[V]) Range(lo, hi int64) (*bitvec.Vector, iostat.Stats, error) {
-	return a.EvalLeafCtx(context.Background(), Range{Lo: lo, Hi: hi})
+	return a.column(Range{Lo: lo, Hi: hi})
 }
 
-// EvalLeafCtx implements CtxColumnIndex: the plain methods' routing, with
-// page fetches attributed to the span in ctx.
-func (a PagedEBI[V]) EvalLeafCtx(ctx context.Context, p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	var vals []V
-	switch p := p.(type) {
-	case Eq:
-		if p.Val.Null {
-			rows, st := a.Ix.Index().IsNull()
-			return rows, st, nil
-		}
-		vals = []V{cellValue[V](p.Val)}
-	case In:
-		vals = cellValues[V](p.Vals)
-	case Range:
-		if !isInt[V]() {
-			return nil, iostat.Stats{}, ErrUnsupported
-		}
-		vals = inRange(a.Ix.Index().Values(), p.Lo, p.Hi)
-	default:
-		return nil, iostat.Stats{}, ErrUnsupported
+func (a PagedEBI[V]) column(p Predicate) (*bitvec.Vector, iostat.Stats, error) {
+	res, err := a.EvalLeaf(context.Background(), p, 1)
+	return res.Rows, res.Stats, err
+}
+
+// EvalLeaf implements LeafIndex: the result carries this call's own page
+// hits and misses. Sequentially, page fetches are attributed to the span
+// in ctx; in parallel, pages are charged in the segment-major order the
+// segmented engine reads them. Eq over NULL reads the NULL min-term
+// without page charges.
+func (a PagedEBI[V]) EvalLeaf(ctx context.Context, p Predicate, degree int) (LeafResult, error) {
+	var res LeafResult
+	if e, ok := p.(Eq); ok && e.Val.Null {
+		res.Rows, res.Stats = a.Ix.Index().IsNull()
+		return res, nil
 	}
-	rows, st, _ := a.Ix.InContext(ctx, vals)
-	return rows, st, nil
+	vals, ok := leafValues(p, a.Ix.Index())
+	if !ok {
+		return res, ErrUnsupported
+	}
+	if degree > 1 {
+		res.Rows, res.Stats, res.Pages = a.Ix.InParallel(vals, degree)
+	} else {
+		res.Rows, res.Stats, res.Pages = a.Ix.InContext(ctx, vals)
+	}
+	return res, nil
 }
 
-// PageStats implements PageStatsIndex with the cache's cumulative
-// counters.
-func (a PagedEBI[V]) PageStats() (hits, misses int) {
-	s := a.Ix.Cache().Stats()
-	return s.Hits, s.Misses
-}
+func (a PagedEBI[V]) ebi() EBI[V] { return EBI[V]{Ix: a.Ix.Index()} }
 
-// TheoreticalMinVectors implements MinVectorsIndex.
+// FusedOp implements LeafIndex: the wrapped index evaluates every
+// selection through the fused kernel.
+func (PagedEBI[V]) FusedOp(op Op) bool { return EBI[V]{}.FusedOp(op) }
+
+// TheoreticalMinVectors implements LeafIndex.
 func (a PagedEBI[V]) TheoreticalMinVectors(delta int) int {
-	return a.Ix.Index().TheoreticalMinVectors(delta)
+	return a.ebi().TheoreticalMinVectors(delta)
+}
+
+// PredictLeaf implements LeafIndex: page charges do not change the
+// vector-read accounting, so the prediction is the wrapped index's.
+func (a PagedEBI[V]) PredictLeaf(p Predicate) (iostat.Stats, uint64, bool) {
+	return a.ebi().PredictLeaf(p)
 }

@@ -4,22 +4,7 @@ import (
 	"runtime"
 
 	"repro/internal/bitvec"
-	"repro/internal/iostat"
-	"repro/internal/obs"
 )
-
-// ParallelIndex is the optional interface an access path implements to
-// evaluate leaf predicates (Eq/In/Range) with the segmented parallel
-// engine, returning exactly the rows and stats of the sequential
-// ColumnIndex methods. degree is the planner-chosen executor cap (always
-// > 1 when it is called). sp is the query's leaf span, or nil when
-// tracing is off; per-worker spans nest under it so fork/join CPU time
-// attributes to the query that forked it. An operation a path cannot
-// parallelize returns ErrUnsupported and the planner re-runs that leaf
-// through the sequential ColumnIndex methods on the same path.
-type ParallelIndex interface {
-	EvalLeafParallel(p Predicate, degree int, sp *obs.Span) (*bitvec.Vector, iostat.Stats, error)
-}
 
 // ParallelPolicy is the planner's cost gate for parallel leaf execution.
 // Segmentation only pays once the vectors are long enough that the
@@ -74,7 +59,8 @@ func (pol ParallelPolicy) degreeFor(words int) int {
 }
 
 // EnableParallel turns on cost-gated parallel leaf execution for access
-// paths whose index implements ParallelIndex. Zero policy fields take
+// paths whose index implements LeafIndex (a path that cannot evaluate a
+// leaf at the gated degree runs it sequentially). Zero policy fields take
 // defaults (DefaultParallelPolicy).
 func (pl *Planner) EnableParallel(pol ParallelPolicy) {
 	p := pol.normalize()
@@ -96,7 +82,7 @@ func (pl *Planner) parallelDegree(path *AccessPath) int {
 	if pl.par == nil || path == nil {
 		return 1
 	}
-	if _, ok := path.Index.(ParallelIndex); !ok {
+	if _, ok := asLeaf(path.Index); !ok {
 		return 1
 	}
 	return pl.par.degreeFor(pl.tableWords())

@@ -15,22 +15,9 @@ import (
 // Theorem 2.2/2.3 accounting of exactly the retrieval functions the
 // engine compiled — any divergence from the measured stats means the
 // execution changed, not the workload. Access paths without an analytic
-// model (paged/compressed/B-tree/scan-fallback shapes) return ok=false
-// and the conformance check for that query is skipped, never guessed.
-
-// PredictLeafIndex is implemented by adapters whose reported stats are a
-// pure function of the encoding, so they can be predicted without
-// touching data.
-type PredictLeafIndex interface {
-	// PredictLeafStats returns the exact Stats the adapter would report
-	// for the leaf, or ok=false when the operation has no analytic model
-	// (e.g. Range on string attributes, which the adapter refuses).
-	PredictLeafStats(p Predicate) (iostat.Stats, bool)
-	// PredictGen stamps the prediction basis (encoding epoch, code-space
-	// generation, logical length). Predictions with equal stamps were
-	// computed against the same basis.
-	PredictGen() uint64
-}
+// model (compressed, bit-sliced, B-tree and projection shapes, and the
+// ordered comparator's Range) return ok=false and the conformance check
+// for that query is skipped, never guessed.
 
 // predictFold mixes a leaf stamp into a whole-query basis stamp
 // (order-dependent FNV-style fold, so leaf order matters like the plan
@@ -41,11 +28,10 @@ func predictFold(gen, leaf uint64) uint64 {
 
 // predictWalk mirrors eval's DFS: leaves resolve through leafFn in
 // preorder (the order choices are recorded in), combinators charge the
-// executor's exact BoolOps (And/Or one per child past the first, Not
-// one).
+// BoolOps eval does (combineOps).
 func predictWalk(p Predicate, st *iostat.Stats, gen *uint64,
 	leafFn func(leaf Predicate, col string) (iostat.Stats, uint64, bool)) bool {
-	leaf := func(col string) bool {
+	if col, _, _, ok := leafShape(p); ok {
 		s, g, ok := leafFn(p, col)
 		if !ok {
 			return false
@@ -54,47 +40,17 @@ func predictWalk(p Predicate, st *iostat.Stats, gen *uint64,
 		*gen = predictFold(*gen, g)
 		return true
 	}
-	switch p := p.(type) {
-	case Eq:
-		return leaf(p.Col)
-	case In:
-		return leaf(p.Col)
-	case Range:
-		return leaf(p.Col)
-	case And:
-		if len(p.Preds) == 0 {
-			return false
-		}
-		for i, child := range p.Preds {
-			if !predictWalk(child, st, gen, leafFn) {
-				return false
-			}
-			if i > 0 {
-				st.BoolOps++
-			}
-		}
-		return true
-	case Or:
-		if len(p.Preds) == 0 {
-			return false
-		}
-		for i, child := range p.Preds {
-			if !predictWalk(child, st, gen, leafFn) {
-				return false
-			}
-			if i > 0 {
-				st.BoolOps++
-			}
-		}
-		return true
-	case Not:
-		if !predictWalk(p.Pred, st, gen, leafFn) {
-			return false
-		}
-		st.BoolOps++
-		return true
+	kind, children, err := combinatorShape(p)
+	if err != nil {
+		return false
 	}
-	return false
+	for i := 0; i < children; i++ {
+		if !predictWalk(childPred(p, i), st, gen, leafFn) {
+			return false
+		}
+	}
+	st.BoolOps += combineOps(kind, children)
+	return true
 }
 
 // predictResolve turns a registered ColumnIndex (or its absence — a
@@ -105,15 +61,11 @@ func predictResolve(ix ColumnIndex, registered bool, tab *table.Table, leaf Pred
 		n := tab.Len()
 		return iostat.Stats{RowsScanned: n}, uint64(n), true
 	}
-	pix, ok := ix.(PredictLeafIndex)
+	li, ok := asLeaf(ix)
 	if !ok {
 		return iostat.Stats{}, 0, false
 	}
-	s, ok := pix.PredictLeafStats(leaf)
-	if !ok {
-		return iostat.Stats{}, 0, false
-	}
-	return s, pix.PredictGen(), true
+	return li.PredictLeaf(leaf)
 }
 
 // PredictStats returns the analytic Stats an Eval of p through this
@@ -170,17 +122,16 @@ func (pl *Planner) PredictStatsForRun(p Predicate, choices []Choice) (iostat.Sta
 // sampling, so the audit plane's own shadow and confirmation re-runs can
 // never recurse into the sampler.
 func (e *Executor) EvalForAudit(p Predicate) (*bitvec.Vector, iostat.Stats, error) {
-	var st iostat.Stats
-	rows, err := e.eval(context.Background(), p, &st)
-	return rows, st, err
+	r := run{ex: e}
+	rows, _, err := r.eval(context.Background(), p, nil)
+	return rows, r.st, err
 }
 
 // EvalForAudit is the planner variant of Executor.EvalForAudit; routing
 // runs fresh (the confirmation re-run cares about the engine's current
 // behavior, not the recorded plan).
 func (pl *Planner) EvalForAudit(p Predicate) (*bitvec.Vector, iostat.Stats, []Choice, error) {
-	var st iostat.Stats
-	var choices []Choice
-	rows, err := pl.eval(context.Background(), p, &st, &choices)
-	return rows, st, choices, err
+	r := run{ex: pl.ex, pl: pl}
+	rows, _, err := r.eval(context.Background(), p, nil)
+	return rows, r.st, r.choices, err
 }

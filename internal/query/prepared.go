@@ -2,9 +2,6 @@ package query
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/iostat"
@@ -26,6 +23,8 @@ type PreparedQuery struct {
 	pl   *Planner
 	pred Predicate
 	plan *Plan
+	// routes is the frozen routing, one per leaf in DFS preorder.
+	routes []route
 	// family is the /debug/requests predicate-family key, computed once
 	// here so re-executions label their pprof samples without paying the
 	// normalization again.
@@ -35,27 +34,28 @@ type PreparedQuery struct {
 // Prepare plans the predicate once, routing every leaf through the cost
 // models, and returns the reusable compiled form.
 func (pl *Planner) Prepare(p Predicate) (*PreparedQuery, error) {
-	plan, err := pl.Explain(p)
+	var routes []route
+	root, err := pl.explain(p, &routes)
 	if err != nil {
 		return nil, err
 	}
 	// Routing happened here, once: advance the routing counters now
 	// rather than on every execution.
-	plan.Root.Walk(func(n *PlanNode) {
-		if n.Kind != KindLeaf {
-			return
-		}
-		if n.path != nil {
+	for _, rt := range routes {
+		if rt.path != nil {
 			mPlannerChoices.Inc()
 		} else {
 			mPlannerFallbacks.Inc()
 		}
-	})
-	return &PreparedQuery{pl: pl, pred: p, plan: plan, family: FamilyKey(p)}, nil
+	}
+	return &PreparedQuery{
+		pl: pl, pred: p, plan: &Plan{Query: p.String(), Root: root},
+		routes: routes, family: FamilyKey(p),
+	}, nil
 }
 
 // Plan returns the estimate-only plan built at Prepare time. After an
-// execution the leaf nodes carry the latest run's actuals.
+// execution its nodes carry the latest run's actuals.
 func (pq *PreparedQuery) Plan() *Plan { return pq.plan }
 
 // Eval executes the prepared plan against the current table and index
@@ -67,145 +67,16 @@ func (pq *PreparedQuery) Eval() (*bitvec.Vector, iostat.Stats, []Choice, error) 
 // EvalContext is Eval with trace propagation: when telemetry is enabled
 // it records an "ebi.plan.prepared" span with one child span per leaf,
 // refreshes the plan nodes' resource attribution, and leaves an
-// exemplar on the latency histogram's sample bucket.
+// exemplar on the latency histogram's sample bucket. The parallel gate
+// is re-checked on every execution — the table may have grown past the
+// threshold, or parallelism been toggled, since Prepare — so only the
+// routing is frozen, not the degree.
 func (pq *PreparedQuery) EvalContext(ctx context.Context) (*bitvec.Vector, iostat.Stats, []Choice, error) {
-	t0 := time.Now()
-	var sp *obs.Span
-	defer func() { hQueryEvalSeconds.ObserveSpan(time.Since(t0).Seconds(), sp) }()
-	ctx, sp = obs.StartSpan(ctx, "ebi.plan.prepared")
-	var st iostat.Stats
-	var choices []Choice
-	var rows *bitvec.Vector
-	var err error
-	withFamily(ctx, pq.family, func(ctx context.Context) {
-		rows, err = pq.evalNode(ctx, pq.plan.Root, &st, &choices)
-	})
-	if sp != nil {
-		sp.SetAttr("choices", choiceStrings(choices))
-		if mis := misestimates(choices); len(mis) > 0 {
-			sp.SetAttr("misestimates", mis)
-		}
-	}
-	finishQuery(sp, pq.pred, st, err, sumExcess(choices))
-	pq.pl.auditObserve("prepared", pq.pred, rows, st, choices, sp, err)
-	return rows, st, choices, err
-}
-
-func (pq *PreparedQuery) evalNode(ctx context.Context, n *PlanNode, st *iostat.Stats, choices *[]Choice) (*bitvec.Vector, error) {
 	// Resource capture costs two runtime/metrics reads plus a clock
 	// syscall per node, so prepared re-runs — the hot path — only pay it
 	// while telemetry is on (EXPLAIN ANALYZE, by contrast, always pays:
 	// it is explicitly a diagnostic).
-	var r0 obs.Resources
-	traced := obs.On()
-	if traced {
-		r0 = obs.TakeResources()
-	}
-	if n.Kind == KindLeaf {
-		ctx, lsp := obs.StartSpan(ctx, "ebi.plan.leaf")
-		var rows *bitvec.Vector
-		var s iostat.Stats
-		usedPath, usedCost := n.Path, float64(n.EstReads)
-		par := 1
-		var pageHits, pageMisses int
-		if n.path != nil {
-			pageHits, pageMisses = leafPageStats(n.path.Index)
-			// Re-check the parallel gate on every execution: the table may
-			// have grown past the threshold (or parallelism been toggled)
-			// since Prepare, and only the routing is frozen, not the degree.
-			gateDeg := pq.pl.parallelDegree(n.path)
-			var r *bitvec.Vector
-			var ls iostat.Stats
-			var deg int
-			var err error
-			withLeafLabels(ctx, n.Column, n.op, gateDeg, func(ctx context.Context) {
-				r, ls, deg, err = pq.pl.execPath(ctx, n.path, n.leafPred, gateDeg)
-			})
-			switch {
-			case err == nil:
-				rows, s, par = r, ls, deg
-			case err != ErrUnsupported:
-				err = fmt.Errorf("query: path %s on %s: %w", n.Path, n.Column, err)
-				finishLeafSpan(lsp, Choice{Column: n.Column, Op: n.op, Delta: n.Delta, Path: n.Path}, s, err)
-				return nil, err
-			}
-		}
-		if rows == nil {
-			// No bound path, or the bound path refused the operation.
-			usedPath, usedCost = "fallback", math.Inf(1)
-			r, err := pq.pl.ex.eval(ctx, n.leafPred, &s)
-			if err != nil {
-				finishLeafSpan(lsp, Choice{Column: n.Column, Op: n.op, Delta: n.Delta, Path: usedPath}, s, err)
-				return nil, err
-			}
-			rows = r
-		}
-		st.Add(s)
-		ch := Choice{
-			Column: n.Column, Op: n.op, Delta: n.Delta,
-			Path: usedPath, Cost: usedCost, Actual: actualCost(s),
-		}
-		if par > 1 {
-			ch.Par = par
-		}
-		if n.path != nil && usedPath != "fallback" {
-			ch.Excess = leafExcess(n.path.Index, n.Delta, s.VectorsRead)
-			h1, m1 := leafPageStats(n.path.Index)
-			ch.PageHits, ch.PageMisses = h1-pageHits, m1-pageMisses
-		}
-		*choices = append(*choices, ch)
-		n.Parallel = ch.Par
-		n.Analyzed = true
-		n.ActReads = jsonFloat(ch.Actual)
-		n.Stats = s
-		n.Rows = rows.Count()
-		n.Misestimate = ch.Misestimated()
-		n.ExcessVectors = ch.Excess
-		n.PageHits, n.PageMisses = ch.PageHits, ch.PageMisses
-		if traced {
-			res := obs.TakeResources().Sub(r0)
-			n.CPUNanos = res.CPUNanos
-			n.AllocBytes = res.AllocBytes
-			n.AllocObjects = res.AllocObjects
-		}
-		if ch.Misestimated() && !n.misSeen {
-			n.misSeen = true
-			mPlannerMisestimates.Inc()
-		}
-		finishLeafSpan(lsp, ch, s, nil)
-		return rows, nil
-	}
-	before := *st
-	acc, err := pq.evalNode(ctx, n.Children[0], st, choices)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range n.Children[1:] {
-		rows, err := pq.evalNode(ctx, c, st, choices)
-		if err != nil {
-			return nil, err
-		}
-		switch n.Kind {
-		case KindAnd:
-			acc.And(rows)
-		case KindOr:
-			acc.Or(rows)
-		}
-		st.BoolOps++
-	}
-	if n.Kind == KindNot {
-		acc = acc.Not()
-		st.BoolOps++
-	}
-	n.Analyzed = true
-	n.Stats = st.Sub(before)
-	n.ActReads = jsonFloat(actualCost(n.Stats))
-	n.Rows = acc.Count()
-	if traced {
-		res := obs.TakeResources().Sub(r0)
-		n.CPUNanos = res.CPUNanos
-		n.AllocBytes = res.AllocBytes
-		n.AllocObjects = res.AllocObjects
-	}
-	return acc, nil
+	r := run{ex: pq.pl.ex, pl: pq.pl, routes: pq.routes, analyze: true, resources: obs.On()}
+	rows, _, err := r.query(ctx, "ebi.plan.prepared", "prepared", pq.pred, pq.family, pq.plan.Root)
+	return rows, r.st, r.choices, err
 }

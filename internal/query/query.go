@@ -106,6 +106,7 @@ func (p Not) String() string { return "NOT " + p.Pred.String() }
 // ColumnIndex is the access path the executor consults for leaf
 // predicates on one column. Implementations that do not support an
 // operation return ErrUnsupported, and the executor falls back to a scan.
+// LeafIndex is its one optional extension.
 type ColumnIndex interface {
 	Eq(v table.Cell) (*bitvec.Vector, iostat.Stats, error)
 	In(vs []table.Cell) (*bitvec.Vector, iostat.Stats, error)
@@ -148,175 +149,84 @@ func (e *Executor) EvalContext(ctx context.Context, p Predicate) (*bitvec.Vector
 	if obs.On() {
 		t0 = time.Now()
 	}
-	var st iostat.Stats
+	r := run{ex: e}
 	var rows *bitvec.Vector
 	var err error
-	withFamilyPred(ctx, p, func(ctx context.Context) {
-		rows, err = e.eval(ctx, p, &st)
+	withFamily(ctx, "", p, func(ctx context.Context) {
+		rows, _, err = r.eval(ctx, p, nil)
 	})
-	finishQuery(sp, p, st, err, 0)
-	e.auditObserve(p, rows, st, sp, err)
+	finishQuery(sp, p, r.st, err, 0)
+	e.auditObserve(p, rows, r.st, sp, err)
 	if err == nil && !t0.IsZero() {
-		observeSlowNoPlan(p, st, time.Since(t0))
+		observeSlowNoPlan(p, r.st, time.Since(t0))
 	}
-	return rows, st, err
+	return rows, r.st, err
 }
 
-func (e *Executor) eval(ctx context.Context, p Predicate, st *iostat.Stats) (*bitvec.Vector, error) {
-	switch p := p.(type) {
-	case Eq:
-		return e.leaf(ctx, p.Col, p, st, func(ix ColumnIndex) (*bitvec.Vector, iostat.Stats, error) {
-			return ix.Eq(p.Val)
-		}, func(col *table.Column) func(int) bool {
-			// Eq against NULL means IS NULL engine-wide (every index
-			// adapter rewrites it that way); the scan must agree.
-			if p.Val.Null {
-				return col.IsNull
-			}
-			return cellPredicate(col, func(c table.Cell) bool { return cellEqual(c, p.Val) })
-		})
-	case In:
-		return e.leaf(ctx, p.Col, p, st, func(ix ColumnIndex) (*bitvec.Vector, iostat.Stats, error) {
-			return ix.In(p.Vals)
-		}, func(col *table.Column) func(int) bool {
-			return cellPredicate(col, func(c table.Cell) bool {
-				for _, v := range p.Vals {
-					if cellEqual(c, v) {
-						return true
-					}
-				}
-				return false
-			})
-		})
-	case Range:
-		return e.leaf(ctx, p.Col, p, st, func(ix ColumnIndex) (*bitvec.Vector, iostat.Stats, error) {
-			return ix.Range(p.Lo, p.Hi)
-		}, func(col *table.Column) func(int) bool {
-			if col.Kind != table.Int64 {
-				return nil
-			}
-			return func(row int) bool {
-				if col.IsNull(row) {
-					return false
-				}
-				v := col.Int(row)
-				return v >= p.Lo && v <= p.Hi
-			}
-		})
-	case And:
-		if len(p.Preds) == 0 {
-			return nil, fmt.Errorf("query: empty AND")
-		}
-		acc, err := e.eval(ctx, p.Preds[0], st)
-		if err != nil {
-			return nil, err
-		}
-		for _, child := range p.Preds[1:] {
-			rows, err := e.eval(ctx, child, st)
-			if err != nil {
-				return nil, err
-			}
-			acc.And(rows)
-			st.BoolOps++
-		}
-		return acc, nil
-	case Or:
-		if len(p.Preds) == 0 {
-			return nil, fmt.Errorf("query: empty OR")
-		}
-		acc, err := e.eval(ctx, p.Preds[0], st)
-		if err != nil {
-			return nil, err
-		}
-		for _, child := range p.Preds[1:] {
-			rows, err := e.eval(ctx, child, st)
-			if err != nil {
-				return nil, err
-			}
-			acc.Or(rows)
-			st.BoolOps++
-		}
-		return acc, nil
-	case Not:
-		rows, err := e.eval(ctx, p.Pred, st)
-		if err != nil {
-			return nil, err
-		}
-		st.BoolOps++
-		return rows.Not(), nil
-	case nil:
-		return nil, fmt.Errorf("query: nil predicate")
-	default:
-		return nil, fmt.Errorf("query: unknown predicate %T", p)
-	}
-}
-
-// leaf evaluates a leaf predicate through the column's index, or by
-// scanning when no index exists or the index reports ErrUnsupported.
-// While telemetry is enabled the evaluation runs under a "leaf" pprof
-// label (column/op), so CPU profiles attribute executor-path leaves the
-// same way planner-path ones are.
-func (e *Executor) leaf(
-	ctx context.Context,
-	col string,
-	p Predicate,
-	st *iostat.Stats,
-	viaIndex func(ColumnIndex) (*bitvec.Vector, iostat.Stats, error),
-	scanner func(*table.Column) func(int) bool,
-) (*bitvec.Vector, error) {
-	_, op, _, _ := leafShape(p)
-	var rows *bitvec.Vector
-	var err error
-	withLeafLabels(ctx, col, op, 1, func(ctx context.Context) {
-		rows, err = e.leafInner(ctx, col, p, st, viaIndex, scanner)
-	})
-	return rows, err
-}
-
-// leafInner is the unlabeled leaf evaluation. An index implementing
-// CtxColumnIndex receives the context so it can nest its own work (page
-// fetches) under the query's span.
-func (e *Executor) leafInner(
-	ctx context.Context,
-	col string,
-	p Predicate,
-	st *iostat.Stats,
-	viaIndex func(ColumnIndex) (*bitvec.Vector, iostat.Stats, error),
-	scanner func(*table.Column) func(int) bool,
-) (*bitvec.Vector, error) {
+// resolve answers a leaf from the executor: through the column's
+// Use-registered index, or by scanning the column when there is none or
+// the index reports ErrUnsupported.
+func (e *Executor) resolve(ctx context.Context, col string, p Predicate) (LeafResult, error) {
 	if ix, ok := e.idx[col]; ok {
-		var rows *bitvec.Vector
-		var s iostat.Stats
-		var err error
-		if ci, ok := ix.(CtxColumnIndex); ok {
-			rows, s, err = ci.EvalLeafCtx(ctx, p)
-		} else {
-			rows, s, err = viaIndex(ix)
-		}
+		res, _, err := evalLeaf(ctx, ix, p, 1)
 		if err == nil {
-			st.Add(s)
-			return rows, nil
+			return res, nil
 		}
 		if err != ErrUnsupported {
-			return nil, fmt.Errorf("query: column %s: %w", col, err)
+			return LeafResult{}, fmt.Errorf("query: column %s: %w", col, err)
 		}
 	}
 	c := e.tab.Column(col)
 	if c == nil {
-		return nil, fmt.Errorf("query: unknown column %s", col)
+		return LeafResult{}, fmt.Errorf("query: unknown column %s", col)
 	}
-	pred := scanner(c)
-	if pred == nil {
-		return nil, fmt.Errorf("query: predicate kind mismatch on column %s (%s)", col, c.Kind)
+	match := scanMatch(c, p)
+	if match == nil {
+		return LeafResult{}, fmt.Errorf("query: predicate kind mismatch on column %s (%s)", col, c.Kind)
 	}
-	out := bitvec.New(e.tab.Len())
-	for row := 0; row < e.tab.Len(); row++ {
-		if pred(row) {
+	n := e.tab.Len()
+	out := bitvec.New(n)
+	for row := 0; row < n; row++ {
+		if match(row) {
 			out.Set(row)
 		}
 	}
-	st.RowsScanned += e.tab.Len()
-	return out, nil
+	return LeafResult{Rows: out, Stats: iostat.Stats{RowsScanned: n}}, nil
+}
+
+// scanMatch returns the row test a column scan applies for a leaf, or nil
+// when the leaf does not fit the column's kind (a range on strings).
+func scanMatch(c *table.Column, p Predicate) func(int) bool {
+	switch p := p.(type) {
+	case Eq:
+		// Eq against NULL means IS NULL engine-wide (every index adapter
+		// rewrites it that way); the scan must agree.
+		if p.Val.Null {
+			return c.IsNull
+		}
+		return cellPredicate(c, func(x table.Cell) bool { return cellEqual(x, p.Val) })
+	case In:
+		return cellPredicate(c, func(x table.Cell) bool {
+			for _, v := range p.Vals {
+				if cellEqual(x, v) {
+					return true
+				}
+			}
+			return false
+		})
+	case Range:
+		if c.Kind != table.Int64 {
+			return nil
+		}
+		return func(row int) bool {
+			if c.IsNull(row) {
+				return false
+			}
+			v := c.Int(row)
+			return v >= p.Lo && v <= p.Hi
+		}
+	}
+	return nil
 }
 
 func cellPredicate(col *table.Column, match func(table.Cell) bool) func(int) bool {
